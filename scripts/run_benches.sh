@@ -29,21 +29,153 @@
 # Each sanitizer stage refuses to report "clean" unless the suite binaries
 # are actually instrumented (stale cache / toolchain dropping the flag):
 #   scripts/run_benches.sh --check build
+#
+# With --ab <base-ref>, no micro benches run: the script is an interleaved
+# A/B of the repository benchmark (perfbench/run.py --trace 0) between the
+# working tree and <base-ref>, which is exported with `git archive` into a
+# scratch directory under ${TMPDIR:-/tmp}. Every workload of BENCHMARK.json
+# runs 10 pairs at seed 42, alternating which side goes first. For each
+# end-to-end metric it prints both sides' median and quartiles, the pairs
+# the working tree won, and a verdict: "unresolved" when either side's
+# interquartile spread exceeds the metric's BENCHMARK.json bound, "REGRESSED"
+# when the median is worse than the base by more than the bound, "gain" when
+# the working tree won at least 9 pairs in 10 and its median beats the base's
+# by more than the base's own interquartile spread. The export leaves the
+# repository's git metadata alone (no worktree to prune after an interrupted
+# run). Raw results land in .bench_build/ab/. Exit status 1
+# on a failed output check or a regression. Takes about 40 minutes:
+#   scripts/run_benches.sh --ab HEAD~1
 set -euo pipefail
 
 jobs=""
 check=0
+ab_base=""
 args=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --jobs)   jobs="${2:?--jobs needs a value}"; shift 2 ;;
     --jobs=*) jobs="${1#--jobs=}"; shift ;;
     --check)  check=1; shift ;;
+    --ab)     ab_base="${2:?--ab needs a base ref}"; shift 2 ;;
+    --ab=*)   ab_base="${1#--ab=}"; shift ;;
     *)        args+=("$1"); shift ;;
   esac
 done
 
-build_dir="${args[0]:?usage: run_benches.sh [--jobs N] [--check] <build-dir> [repo-root]}"
+if [[ -n "$ab_base" ]]; then
+  repo_root="$(cd "$(dirname "$0")/.." && pwd)"
+  pairs=10
+  seed=42
+  base_sha="$(git -C "$repo_root" rev-parse --verify "$ab_base^{commit}")"
+  if ! git -C "$repo_root" cat-file -e "$base_sha:perfbench/run.py" 2>/dev/null; then
+    echo "error: $ab_base has no perfbench/run.py to compare against" >&2
+    exit 1
+  fi
+  base_dir="$(mktemp -d "${TMPDIR:-/tmp}/sos-ab-base.XXXXXX")"
+  trap 'rm -rf "$base_dir"' EXIT
+  git -C "$repo_root" archive "$base_sha" | tar -x -C "$base_dir"
+  out_dir="$repo_root/.bench_build/ab"
+  rm -rf "$out_dir"
+  mkdir -p "$out_dir"
+  echo "== A/B: base $ab_base ($base_sha) vs working tree" \
+       "($(git -C "$repo_root" describe --always --dirty)), $pairs pairs, seed $seed =="
+
+  mapfile -t workloads < <(python3 -c '
+import json, sys
+for w in json.load(open(sys.argv[1]))["workloads"]:
+    print(w["name"])' "$repo_root/BENCHMARK.json")
+  run_seconds="$(python3 -c '
+import json, sys
+print(json.load(open(sys.argv[1]))["run_seconds"])' "$repo_root/BENCHMARK.json")"
+
+  # run_side <side> <workload> [run.py args...]: one perfbench run in that
+  # side's tree; the result line is appended to <out_dir>/<side>-<workload>.jsonl.
+  run_side() {
+    local side="$1" workload="$2" dir
+    shift 2
+    if [[ "$side" == base ]]; then dir="$base_dir"; else dir="$repo_root"; fi
+    if ! (cd "$dir" && python3 perfbench/run.py --workload "$workload" --seed "$seed" "$@") \
+        2>> "$out_dir/$side-$workload.log" | tail -n 1 >> "$out_dir/$side-$workload.jsonl"; then
+      echo "   $side $workload run failed; see $out_dir/$side-$workload.log" >&2
+    fi
+  }
+
+  # Build both trees and fill their caches before anything is timed.
+  for side in base change; do
+    run_side "$side" "${workloads[0]}" --seconds 1 --trace 0 --tiny
+    rm -f "$out_dir/$side-${workloads[0]}.jsonl"
+  done
+  for workload in "${workloads[@]}"; do
+    for ((i = 0; i < pairs; i++)); do
+      echo "   $workload pair $((i + 1))/$pairs"
+      if ((i % 2 == 0)); then order=(base change); else order=(change base); fi
+      for side in "${order[@]}"; do
+        run_side "$side" "$workload" --seconds "$run_seconds" --trace 0
+      done
+    done
+  done
+
+  python3 - "$repo_root/BENCHMARK.json" "$out_dir" "$pairs" "${workloads[@]}" \
+      <<'PY' | tee "$out_dir/report.txt"
+import json, statistics, sys
+
+bench = json.load(open(sys.argv[1]))
+out_dir, pairs, workloads = sys.argv[2], int(sys.argv[3]), sys.argv[4:]
+bad = False
+
+
+def load(side, workload):
+    with open(f"{out_dir}/{side}-{workload}.jsonl") as f:
+        return [json.loads(line) for line in f if line.strip()]
+
+
+def quartiles(xs):
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+for workload in workloads:
+    base, change = load("base", workload), load("change", workload)
+    print(f"\n{workload}: {len(base)} base runs, {len(change)} working-tree runs")
+    for name, runs in (("base", base), ("change", change)):
+        failed = sum(r["failed"] for r in runs)
+        attempted = sum(r["attempted"] for r in runs)
+        print(f"  {name} output checks failed: {failed}/{attempted}")
+        bad |= failed > 0 or len(runs) < pairs
+    if len(base) < 2 or len(change) < 2:
+        continue
+    print(f"  {'metric':18s} {'base median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
+          f" {'delta':>8s} {'won':>6s}  verdict")
+    for spec in bench["end_to_end"]:
+        name, bound = spec["name"], spec["bound"]
+        higher = spec["better"] == "higher"
+        b = [r["metrics"][name]["value"] for r in base]
+        c = [r["metrics"][name]["value"] for r in change]
+        bq, cq = quartiles(b), quartiles(c)
+        won = sum((y > x) if higher else (y < x) for x, y in zip(b, c))
+        n = min(len(b), len(c))
+        delta = (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0
+        gain = delta if higher else -delta
+        spread = max((q[2] - q[0]) / q[1] if q[1] else 0.0 for q in (bq, cq))
+        beats_all = (min(c) > max(b)) if higher else (max(c) < min(b))
+        if spread > bound and not beats_all:
+            verdict = f"unresolved (spread {spread:.0%} > bound {bound:.0%})"
+        elif gain < -bound:
+            verdict = "REGRESSED"
+            bad = True
+        elif won * 10 >= 9 * n and abs(cq[1] - bq[1]) > bq[2] - bq[0] and gain > 0:
+            verdict = "gain"
+        else:
+            verdict = f"within bound ({bound:.0%})"
+        fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+        print(f"  {name:18s} {fmt(bq):>30s} {fmt(cq):>30s} {delta:+8.1%} {won:>3d}/{n:<2d}  "
+              f"{verdict}")
+sys.exit(1 if bad else 0)
+PY
+  exit 0
+fi
+
+build_dir="${args[0]:?usage: run_benches.sh [--jobs N] [--check] <build-dir> [repo-root] | --ab <base-ref>}"
 repo_root="${args[1]:-$(cd "$(dirname "$0")/.." && pwd)}"
 
 # require_instrumented <dir> <symbol-prefix> <bin>...: refuse to bless a

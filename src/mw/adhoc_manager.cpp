@@ -20,6 +20,10 @@ constexpr std::uint8_t kOuterHello = 1;
 constexpr std::uint8_t kOuterSealed = 2;
 constexpr std::uint8_t kOuterResume = 3;
 
+// Additional data bound into the tag of every sealed frame.
+constexpr std::uint8_t kFrameAadBytes[] = {'s', 'o', 's', '-', 'f', 'r', 'a', 'm', 'e'};
+constexpr util::ByteView kFrameAad(kFrameAadBytes);
+
 void make_nonce(std::uint8_t nonce[12], std::uint64_t counter) {
   std::memset(nonce, 0, 12);
   util::store64_le(nonce, counter);
@@ -558,7 +562,7 @@ void AdHocManager::send_frame(sim::PeerId peer, FrameType type, util::ByteView p
 
   std::uint8_t nonce[12];
   make_nonce(nonce, s.send_ctr++);
-  auto sealed = crypto::aead_seal(s.send_key, nonce, util::to_bytes("sos-frame"), plain);
+  auto sealed = crypto::aead_seal(s.send_key, nonce, kFrameAad, plain);
 
   util::Bytes wire;
   wire.push_back(kOuterSealed);
@@ -598,7 +602,7 @@ void AdHocManager::handle_receive(sim::PeerId peer, util::Bytes wire) {
   // attacker-injected frame must not desynchronize the nonce sequence for
   // the legitimate traffic behind it.
   make_nonce(nonce, s.recv_ctr);
-  auto plain = crypto::aead_open(s.recv_key, nonce, util::to_bytes("sos-frame"), body);
+  auto plain = crypto::aead_open(s.recv_key, nonce, kFrameAad, body);
   if (!plain) {
     ++stats_.decrypt_failures;
     return;

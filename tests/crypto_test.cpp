@@ -9,6 +9,7 @@
 
 #include "crypto/aead.hpp"
 #include "crypto/chacha20.hpp"
+#include "crypto/cpu_features.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/hkdf.hpp"
@@ -99,6 +100,74 @@ TEST(Sha256, BoundaryLengths) {
     EXPECT_EQ(one, b.finish()) << len;
   }
 }
+
+// --- SHA-256 compression kernels --------------------------------------
+// Each kernel is driven directly, not through the dispatcher, so the scalar
+// reference stays pinned on CPUs that dispatch to SHA-NI and vice versa.
+
+struct Sha256Kernel {
+  const char* name;
+  void (*compress)(std::uint32_t[8], const std::uint8_t*, std::size_t);
+  bool (*available)();
+  const char* feature;
+};
+
+class Sha256Kernels : public ::testing::TestWithParam<Sha256Kernel> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().available()) GTEST_SKIP() << "CPU lacks " << GetParam().feature;
+  }
+
+  // FIPS 180-4 padding around one call of the kernel over every block.
+  std::string digest(su::ByteView msg) const {
+    std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    su::Bytes padded(msg.begin(), msg.end());
+    padded.push_back(0x80);
+    while (padded.size() % sc::Sha256::kBlockSize != 56) padded.push_back(0);
+    padded.resize(padded.size() + 8);
+    su::store64_be(padded.data() + padded.size() - 8, msg.size() * 8);
+    GetParam().compress(h, padded.data(), padded.size() / sc::Sha256::kBlockSize);
+    sc::Sha256::Digest out;
+    for (int i = 0; i < 8; ++i) su::store32_be(out.data() + 4 * i, h[i]);
+    return hex(out);
+  }
+};
+
+TEST_P(Sha256Kernels, FipsVectors) {
+  EXPECT_EQ(digest(su::to_bytes("")),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(digest(su::to_bytes("abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(digest(su::to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(digest(su::to_bytes("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+}
+
+TEST_P(Sha256Kernels, MillionA) {
+  EXPECT_EQ(digest(su::Bytes(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256Kernels, BoundarySweepMatchesIncremental) {
+  // 0..300 bytes crosses every padding case and one to five blocks per call.
+  su::Rng rng(11);
+  su::Bytes msg;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    EXPECT_EQ(digest(msg), hex(sc::Sha256::hash(msg))) << len;
+    msg.push_back(static_cast<std::uint8_t>(rng.next()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Sha256Kernels,
+    ::testing::Values(
+        Sha256Kernel{"scalar", sc::detail::sha256_compress_scalar, [] { return true; }, ""},
+        Sha256Kernel{"shani", sc::detail::sha256_compress_shani,
+                     [] { return sc::detail::cpu_features().sha_ni; }, "SHA-NI"}),
+    [](const ::testing::TestParamInfo<Sha256Kernel>& p) { return p.param.name; });
 
 // --- SHA-512 -----------------------------------------------------------
 
@@ -235,6 +304,67 @@ TEST(ChaCha20, XorIsInvolution) {
   auto pt = sc::chacha20(key.data(), 7, nonce.data(), ct);
   EXPECT_EQ(pt, msg);
   EXPECT_NE(ct, msg);
+}
+
+// --- ChaCha20 kernels ---------------------------------------------------
+// As for SHA-256: each kernel is driven directly, bypassing the dispatcher.
+
+struct ChaChaKernel {
+  const char* name;
+  void (*xor_stream)(const std::uint8_t*, std::uint32_t, const std::uint8_t*, std::uint8_t*,
+                     std::size_t);
+  bool (*available)();
+  const char* feature;
+};
+
+class ChaCha20Kernels : public ::testing::TestWithParam<ChaChaKernel> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().available()) GTEST_SKIP() << "CPU lacks " << GetParam().feature;
+  }
+};
+
+TEST_P(ChaCha20Kernels, Rfc8439Encrypt) {
+  // RFC 8439 §2.4.2: 114 bytes from counter 1, two blocks.
+  auto key = unhex_array<32>(
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  auto nonce = unhex_array<12>("000000000000004a00000000");
+  su::Bytes data = su::to_bytes(
+      "Ladies and Gentlemen of the class of '99: If I could offer you "
+      "only one tip for the future, sunscreen would be it.");
+  GetParam().xor_stream(key.data(), 1, nonce.data(), data.data(), data.size());
+  EXPECT_EQ(su::hex_encode(data),
+            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42874d");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, ChaCha20Kernels,
+    ::testing::Values(
+        ChaChaKernel{"scalar", sc::detail::chacha20_xor_scalar, [] { return true; }, ""},
+        ChaChaKernel{"x8", sc::detail::chacha20_xor_x8,
+                     [] { return sc::detail::cpu_features().avx2; }, "AVX2"}),
+    [](const ::testing::TestParamInfo<ChaChaKernel>& p) { return p.param.name; });
+
+TEST(ChaCha20X8, MatchesScalarAcrossLengthsAndCounterWrap) {
+  if (!sc::detail::cpu_features().avx2) GTEST_SKIP() << "CPU lacks AVX2";
+  // 0..1100 bytes covers the one-block tail rule, partial and whole 8-block
+  // passes; 0xFFFFFFF9 wraps the block counter inside the first pass.
+  su::Rng rng(5);
+  su::Bytes key(32), nonce(12), msg(1100);
+  for (auto* buf : {&key, &nonce, &msg})
+    for (auto& b : *buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::uint32_t counter : {0u, 1u, 0xFFFFFFF9u}) {
+    for (std::size_t len = 0; len <= msg.size(); ++len) {
+      su::Bytes want(msg.begin(), msg.begin() + static_cast<std::ptrdiff_t>(len));
+      su::Bytes got = want;
+      sc::detail::chacha20_xor_scalar(key.data(), counter, nonce.data(), want.data(), len);
+      sc::detail::chacha20_xor_x8(key.data(), counter, nonce.data(), got.data(), len);
+      ASSERT_EQ(got, want) << "counter " << counter << " length " << len;
+    }
+  }
 }
 
 // --- Poly1305 (RFC 8439) ----------------------------------------------------
