@@ -9,7 +9,6 @@
 #include "deploy/sweep.hpp"
 #include "mw/sos_node.hpp"
 #include "pki/bootstrap.hpp"
-#include "sim/episode.hpp"
 #include "sim/multipeer.hpp"
 #include "sim/subepisode.hpp"
 #include "soak/checkpoint.hpp"
@@ -239,14 +238,15 @@ BENCHMARK(BM_DensityCell)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 static void BM_DensityCellReplay(benchmark::State& state) {
   // Intra-cell replay of the HEAVIEST density-ablation cell (100 nodes /
-  // 4 km^2 / 3 days — ~80% of the grid's wall-clock) through the replay
-  // engines. range(0) selects the engine: 0 = single-scheduler replay
-  // without the shared verify memo (the pre-engine baseline), 1 = single
-  // scheduler + shared memo, 2 = episode-partitioned at 1 worker, 3 =
-  // episode-partitioned at 4 workers. Metrics are bitwise identical across
-  // all four (tests/episode_test.cpp pins this); the memo is where the
-  // >=2x comes from — each distinct bundle/cert signature pays curve math
-  // once per run instead of once per carrying node.
+  // 4 km^2 / 3 days — ~80% of the grid's wall-clock). range(0) selects the
+  // row: 0 = mono without the shared verify memo (the pre-memo baseline),
+  // 1 = mono (run_scenario's default), 2 = the contact-strand DAG at 1
+  // worker, 3 = at 4 workers. Metrics are bitwise identical across all four
+  // (tests/episode_test.cpp pins this); the memo is where the >=2x comes
+  // from — each distinct bundle/cert signature pays curve math once per run
+  // instead of once per carrying node. The hotspot chains most contacts
+  // into one serial megatask, while ContactDag's per-node hull fusion frees
+  // the overnight home-pair contacts to overlap it (width > 1).
   auto grid = deploy::density_ablation_grid(3.0);
   deploy::SweepRunner runner{deploy::SweepOptions{}};
   const std::size_t heavy = grid_cell_index(grid, "100n");  // 100n / 2x2 km
@@ -255,10 +255,10 @@ static void BM_DensityCellReplay(benchmark::State& state) {
 
   deploy::ReplayOptions replay;
   switch (state.range(0)) {
-    case 0: replay = {false, 1, nullptr, false}; break;
-    case 1: replay = {false, 1, nullptr, true}; break;
-    case 2: replay = {true, 1, nullptr, true}; break;
-    default: replay = {true, 4, nullptr, true}; break;
+    case 0: replay.share_verify_memo = false; break;
+    case 1: break;
+    case 2: replay.subepisode_jobs = 1; break;
+    default: replay.subepisode_jobs = 4; break;
   }
   std::uint64_t deliveries = 0;
   for (auto _ : state) {
@@ -266,11 +266,12 @@ static void BM_DensityCellReplay(benchmark::State& state) {
     deliveries = result.totals.deliveries;
     benchmark::DoNotOptimize(deliveries);
   }
-  auto graph = sim::EpisodeGraph::partition(world->trace, config.nodes,
-                                            util::days(config.days));
+  auto dag = sim::ContactDag::partition(world->trace, config.nodes,
+                                        util::days(config.days));
   state.counters["deliveries"] = static_cast<double>(deliveries);
-  state.counters["episodes"] = static_cast<double>(graph.episodes().size());
-  state.counters["parallelism"] = graph.parallelism();
+  state.counters["tasks"] = static_cast<double>(dag.contact_task_count());
+  state.counters["width"] = static_cast<double>(dag.width());
+  state.counters["parallelism"] = dag.parallelism();
 }
 BENCHMARK(BM_DensityCellReplay)
     ->Arg(0)
@@ -282,18 +283,20 @@ BENCHMARK(BM_DensityCellReplay)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-static void BM_DensityCellSubepisode(benchmark::State& state) {
-  // The heaviest density cell again (100n / 2x2 km / 3 days), but through
-  // the sub-episode (contact-strand) engine. This is the cell the episode
-  // engine cannot decompose — the daily hotspot chains its contacts into
-  // one serial megatask (episode parallelism ~1.0) — while ContactDag's
-  // per-node hull fusion frees the overnight home-pair contacts to overlap
-  // it (width > 1, pinned by tests/episode_test.cpp). range(0) = strand
-  // workers; metrics are bitwise identical to every other engine/row.
+static void BM_CommunityReplay(benchmark::State& state) {
+  // The community-structured density cell (48 nodes, 4 disjoint mobility
+  // communities, 10% bridge commuters — the "48n-4c" grid cell) through the
+  // replay engine. Unlike the single-hotspot cells, this trace decomposes
+  // into many independent contact-strand tasks (parallelism >= 2, pinned by
+  // tests/episode_test.cpp), so workers have something to run concurrently.
+  // range(0) = 0 is the mono replay, otherwise the strand DAG with range(0)
+  // workers. Metrics are bitwise identical across all rows; compare the /1
+  // and /4 wall-clocks for the multi-core win (on a 1-core host they tie by
+  // construction).
   auto grid = deploy::density_ablation_grid(3.0);
   deploy::SweepRunner runner{deploy::SweepOptions{}};
-  const std::size_t heavy = grid_cell_index(grid, "100n");
-  deploy::ScenarioConfig config = runner.cell_config(grid[heavy], heavy);
+  const std::size_t idx = grid_cell_index(grid, "48n-4c");
+  deploy::ScenarioConfig config = runner.cell_config(grid[idx], idx);
   auto world = deploy::record_world(config);
 
   deploy::ReplayOptions replay;
@@ -308,10 +311,10 @@ static void BM_DensityCellSubepisode(benchmark::State& state) {
                                         util::days(config.days));
   state.counters["deliveries"] = static_cast<double>(deliveries);
   state.counters["tasks"] = static_cast<double>(dag.contact_task_count());
-  state.counters["width"] = static_cast<double>(dag.width());
   state.counters["parallelism"] = dag.parallelism();
 }
-BENCHMARK(BM_DensityCellSubepisode)
+BENCHMARK(BM_CommunityReplay)
+    ->Arg(0)
     ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
@@ -319,71 +322,13 @@ BENCHMARK(BM_DensityCellSubepisode)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-static void BM_CommunityReplay(benchmark::State& state) {
-  // The community-structured density cell (48 nodes, 4 disjoint mobility
-  // communities, 10% bridge commuters — the "48n-4c" grid cell) through the
-  // replay engines. Unlike the single-hotspot cells, whose conservative
-  // episode-parallelism ceiling is ~1.0, this trace decomposes (parallelism
-  // >= 2, pinned by tests/episode_test.cpp), so workers finally have
-  // something to run concurrently. range(1) = 0: range(0) = 0 is the
-  // single-scheduler replay, otherwise episode-partitioned with range(0)
-  // workers. range(1) = 1: the sub-episode (contact-strand) engine with
-  // range(0) workers — a strictly finer task DAG (ContactDag refines
-  // EpisodeGraph), so its parallelism ceiling is >= the episode one.
-  // Metrics are bitwise identical across all rows; compare the /1 and /4
-  // wall-clocks for the multi-core win (on a 1-core host they tie by
-  // construction).
-  auto grid = deploy::density_ablation_grid(3.0);
-  deploy::SweepRunner runner{deploy::SweepOptions{}};
-  const std::size_t idx = grid_cell_index(grid, "48n-4c");
-  deploy::ScenarioConfig config = runner.cell_config(grid[idx], idx);
-  auto world = deploy::record_world(config);
-
-  deploy::ReplayOptions replay;
-  if (state.range(1) == 1) {
-    replay.subepisode_jobs = static_cast<std::size_t>(state.range(0));
-  } else {
-    replay.partition = state.range(0) > 0;
-    replay.jobs = replay.partition ? static_cast<std::size_t>(state.range(0)) : 1;
-  }
-  std::uint64_t deliveries = 0;
-  for (auto _ : state) {
-    auto result = deploy::run_scenario(config, world.get(), replay);
-    deliveries = result.totals.deliveries;
-    benchmark::DoNotOptimize(deliveries);
-  }
-  auto graph = sim::EpisodeGraph::partition(world->trace, config.nodes,
-                                            util::days(config.days));
-  auto dag = sim::ContactDag::partition(world->trace, config.nodes,
-                                        util::days(config.days));
-  state.counters["deliveries"] = static_cast<double>(deliveries);
-  state.counters["episodes"] = static_cast<double>(graph.contact_episode_count());
-  state.counters["parallelism"] =
-      state.range(1) == 1 ? dag.parallelism() : graph.parallelism();
-}
-BENCHMARK(BM_CommunityReplay)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({4, 0})
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
 static void BM_DensitySweep(benchmark::State& state) {
   // The full bench_ablation_density density grid through deploy::SweepRunner.
-  // range(0) = worker threads; range(1) = record-once/replay-many traces.
-  // /1/0 is the pre-sweep serial baseline shape, /4/1 is the parallel +
-  // replay path. tests/sweep_test.cpp asserts per-cell metrics are bitwise
-  // identical across thread counts (with replay on); replay-off runs live
-  // detection, which has matched replay exactly on every config measured
-  // but is not pinned by a test.
+  // range(0) = worker threads. tests/sweep_test.cpp asserts per-cell metrics
+  // are bitwise identical across thread counts.
   std::vector<deploy::SweepCell> grid = deploy::density_ablation_grid(3.0);
   deploy::SweepOptions opts;
   opts.jobs = static_cast<std::size_t>(state.range(0));
-  opts.reuse_traces = state.range(1) == 1;
   deploy::SweepRunner runner(opts);
   std::uint64_t deliveries = 0;
   for (auto _ : state) {
@@ -396,9 +341,8 @@ static void BM_DensitySweep(benchmark::State& state) {
   state.counters["deliveries"] = static_cast<double>(deliveries);
 }
 BENCHMARK(BM_DensitySweep)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({4, 1})
+    ->Arg(1)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1)
     ->MeasureProcessCPUTime()
@@ -413,7 +357,7 @@ static void BM_DisasterPack(benchmark::State& state) {
   // junk never counts as delivered workload), intr = transfers interrupted,
   // rejected = forged/invalid bundle signatures refused, dropped = frames
   // eaten by injected loss/grayholes. Metrics are bitwise deterministic at
-  // any --jobs/--episode-jobs count (ctest -L fault pins this); the seeds
+  // any --jobs/--subepisode-jobs count (ctest -L fault pins this); the seeds
   // match a full-grid SweepRunner run with default options.
   auto grid = deploy::disaster_pack_grid(2.0);
   const std::size_t idx = static_cast<std::size_t>(state.range(0));

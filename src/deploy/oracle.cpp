@@ -1,8 +1,28 @@
 #include "deploy/oracle.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace sos::deploy {
+
+namespace {
+template <typename T>
+void move_append(std::vector<T>& to, std::vector<T>& from) {
+  if (to.empty()) {
+    to.swap(from);
+  } else {
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+  }
+  from.clear();
+}
+}  // namespace
+
+void MetricsOracle::append(MetricsOracle&& other) {
+  move_append(posts_, other.posts_);
+  move_append(deliveries_, other.deliveries_);
+  move_append(carries_, other.carries_);
+}
 
 std::size_t MetricsOracle::subscription_count() const {
   std::size_t n = 0;

@@ -44,6 +44,10 @@ class MetricsOracle {
   void record_post(const PostRecord& r) { posts_.push_back(r); }
   void record_delivery(const DeliveryRecord& r) { deliveries_.push_back(r); }
   void record_carry(const CarryRecord& r) { carries_.push_back(r); }
+  /// Append `other`'s records after this oracle's, in order, leaving
+  /// `other` empty. Each record list moves wholesale (a swap) when this
+  /// side's list is still empty. Subscriptions are not touched.
+  void append(MetricsOracle&& other);
 
   /// follower -> set of publishers (directed follow edges) keyed by user id.
   void set_subscriptions(const std::map<pki::UserId, std::set<pki::UserId>>& follows) {

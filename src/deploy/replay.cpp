@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -14,7 +15,6 @@
 #include "alleyoop/app.hpp"
 #include "crypto/verify_memo.hpp"
 #include "deploy/scenario_detail.hpp"
-#include "sim/episode.hpp"
 #include "sim/multipeer.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/subepisode.hpp"
@@ -26,10 +26,9 @@ namespace sos::deploy {
 
 namespace {
 
-/// Everything one episode / strand task produces; merged into the
-/// ScenarioResult in task-index order so the outcome never depends on
-/// completion order.
-struct EpisodeOut {
+/// Everything one task produces; merged into the ScenarioResult in
+/// task-index order so the outcome never depends on completion order.
+struct TaskOut {
   MetricsOracle oracle;
   std::uint64_t wire_frames = 0;
   std::uint64_t wire_bytes = 0;
@@ -41,26 +40,23 @@ struct EpisodeOut {
 
 /// Shared engine state. Workers touch disjoint slices: a task only
 /// reads/writes its member nodes' state (exclusive by the DAG's per-node
-/// chaining) and its own EpisodeOut slot. Exactly one of `episodes` (the
-/// episode engine's list — EpisodeGraph's or a hand-fused mono partition)
-/// and `dag` (sub-episode strand engine) is set.
+/// chaining) and its own TaskOut slot.
 struct EngineState {
   const ScenarioConfig& config;
   const ScenarioWorld& world;
-  /// The trace the tasks index into — the recorded trace, its fault-reshaped
-  /// transform, or one segment of either under segmented replay.
+  /// The segment's contacts, in trace order — the recorded trace or its
+  /// fault-reshaped transform, cut at the segment end.
   const sim::ContactTrace& trace;
   const sim::FaultPlan* plan;  // compiled fault plan (may be null)
-  const std::vector<sim::Episode>* episodes;
-  const sim::ContactDag* dag;
+  /// The strand DAG's tasks, or the single mono task.
+  const std::vector<sim::ContactTask>& tasks;
   std::vector<std::unique_ptr<mw::SosNode>>& nodes;
   std::vector<std::unique_ptr<alleyoop::App>>& apps;
   /// Per-node merged workload timelines (posts + floods + reboots).
   const std::vector<std::vector<detail::TimelineEvent>>& timelines;
   std::vector<std::size_t>& timeline_cursor;   // next unscheduled event per node
   std::vector<util::SimTime>& resume_at;       // per-node timeline progress
-  std::vector<EpisodeOut>& outs;
-  double horizon;
+  std::vector<TaskOut>& outs;
 };
 
 /// The Kahn-worker queue: every worker (the calling thread plus any helpers
@@ -81,27 +77,27 @@ struct KahnQueue {
   std::vector<std::vector<std::size_t>> dependents;         // reverse dep edges
 };
 
-/// Execute a task DAG with the annotated KahnQueue worker machinery shared
-/// by the episode and sub-episode engines. `deps_of(i)` returns task i's
-/// dependency list (read-only, stable for the whole call); `body(i)` runs
-/// task i and must touch only state that task owns. One code path for
-/// serial and parallel execution: the calling thread is always a worker;
-/// helpers join it when jobs > 1 or the shared budget grants tokens. The
-/// ordered ready set makes the serial order identical to a dedicated serial
-/// loop, and an uncontended MutexLock per task is noise next to a task's
-/// millisecond-scale replay. Throws if the DAG cannot complete (a cycle).
-void execute_task_dag(std::size_t count,
-                      const std::function<const std::vector<std::size_t>&(std::size_t)>& deps_of,
+/// Execute a task DAG with the annotated KahnQueue worker machinery.
+/// `tasks[i].deps` is task i's dependency list (read-only for the whole
+/// call); `body(i)` runs task i and must touch only state that task owns.
+/// One code path for serial and parallel execution: the calling thread is
+/// always a worker; helpers join it when jobs > 1 or the shared budget
+/// grants tokens. The ordered ready set makes the serial order identical to
+/// a dedicated serial loop, and an uncontended MutexLock per task is noise
+/// next to a task's millisecond-scale replay. Throws if the DAG cannot
+/// complete (a cycle).
+void execute_task_dag(const std::vector<sim::ContactTask>& tasks,
                       const std::function<void(std::size_t)>& body, std::size_t jobs,
-                      WorkerBudget* budget, const char* what) {
+                      WorkerBudget* budget) {
+  const std::size_t count = tasks.size();
   KahnQueue q;
   q.dependents.resize(count);
   {
     util::MutexLock lock(q.mu);
     q.pending.resize(count, 0);
     for (std::size_t i = 0; i < count; ++i) {
-      q.pending[i] = deps_of(i).size();
-      for (std::size_t d : deps_of(i)) q.dependents[d].push_back(i);
+      q.pending[i] = tasks[i].deps.size();
+      for (std::size_t d : tasks[i].deps) q.dependents[d].push_back(i);
       if (q.pending[i] == 0) q.ready.insert(i);
     }
   }
@@ -176,135 +172,26 @@ void execute_task_dag(std::size_t count,
   for (auto& t : helpers) t.join();
   if (budget != nullptr && borrowed > 0) budget->release(borrowed);
   if (completed != count) {
-    throw std::logic_error(std::string(what) + " failed to complete (dependency cycle?)");
+    throw std::logic_error("replay task DAG failed to complete (dependency cycle?)");
   }
 }
 
-void run_episode(const EngineState& st, std::size_t ei) {
-  const sim::Episode& e = (*st.episodes)[ei];
+/// One task on its own scheduler/network shard — the engine's only unit of
+/// work, for strand-DAG tasks and the mono task alike. Members attach at the
+/// shard start; each member's timeline slice ends at its OWN strand end (not
+/// the task's global end), and each member detaches there, so a task whose
+/// span overlaps another task's span never holds a node past its last
+/// contact here. Pending timers recorded at the detach re-arm on the node's
+/// next shard at their original absolute deadlines — every such deadline is
+/// >= the detach time, and the next shard starts no later than this node's
+/// resume point, so nothing is ever clamped differently than on one
+/// uninterrupted scheduler.
+void run_task(const EngineState& st, std::size_t ti) {
+  const sim::ContactTask& task = st.tasks[ti];
   const ScenarioConfig& config = st.config;
-  util::SimTime t_start = st.horizon;
-  for (std::uint32_t n : e.nodes) t_start = std::min(t_start, st.resume_at[n]);
-  const util::SimTime t_end = e.contacts.empty() ? st.horizon : e.last_end;
-
-  sim::Scheduler sched(t_start);
-  sim::MpcNetwork net(sched, config.nodes, config.radio);
-  // Per-frame fault draws key on (link, exact timestamp, same-timestamp
-  // sequence), all of which this shard reproduces exactly — a fresh network
-  // per episode costs nothing.
-  if (st.plan != nullptr) net.set_fault_plan(st.plan);
-
-  // The episode's contact subset, in trace order — the same relative order
-  // (and therefore the same same-timestamp FIFO behavior) the full trace
-  // has on the single-scheduler path.
-  sim::ContactTrace sub;
-  for (std::size_t ci : e.contacts) sub.add(st.trace.contacts()[ci]);
-  sim::TracePlayer player(sched, std::move(sub));
-  player.on_contact_start = [&net](std::uint32_t a, std::uint32_t b) {
-    net.set_in_range(static_cast<sim::PeerId>(a), static_cast<sim::PeerId>(b), true);
-  };
-  player.on_contact_end = [&net](std::uint32_t a, std::uint32_t b) {
-    net.set_in_range(static_cast<sim::PeerId>(a), static_cast<sim::PeerId>(b), false);
-  };
-  player.start();
-
-  EpisodeOut& out = st.outs[ei];
-  const sim::TrajectoryMobility& mobility = st.world.mobility;
-
-  // Attach members in ascending node order — the order the single-scheduler
-  // path registers their timers in, so same-timestamp ties break alike.
-  for (std::uint32_t n : e.nodes) {
-    mw::SosNode& node = *st.nodes[n];
-    node.attach(sched, net.endpoint(static_cast<sim::PeerId>(n)));
-    std::size_t idx = n;
-    node.on_carry = [&out, &node, &sched, &mobility, idx](const bundle::Bundle& b) {
-      out.oracle.record_carry(
-          {b.id(), node.user_id(), sched.now(), mobility.position(idx, sched.now())});
-    };
-    node.on_data = [&out, &node, &sched, &mobility, idx](const bundle::Bundle& b,
-                                                         const pki::Certificate&) {
-      out.oracle.record_delivery({b.id(), node.user_id(), sched.now(), b.hop_count,
-                                  mobility.position(idx, sched.now())});
-    };
-  }
-
-  // This episode's slice of the workload timeline: each member's next
-  // events (posts, adversarial junk publishes, reboots) up to the episode
-  // end, scheduled strictly in merged-timeline order. An event before this
-  // shard's t_start clamps to t_start while keeping its place in the FIFO,
-  // which is exactly what the single-scheduler path's relative order
-  // reduces to at an episode boundary.
-  for (std::uint32_t n : e.nodes) {
-    const std::vector<detail::TimelineEvent>& tl = st.timelines[n];
-    std::size_t& cursor = st.timeline_cursor[n];
-    while (cursor < tl.size() && tl[cursor].t <= t_end) {
-      const detail::TimelineEvent& ev = tl[cursor];
-      const std::size_t idx = n;
-      alleyoop::App& app = *st.apps[n];
-      mw::SosNode& node = *st.nodes[n];
-      switch (ev.kind) {
-        case detail::TimelineEvent::Kind::Post:
-          sched.schedule_at(ev.t, [&out, &app, &node, &sched, &mobility, idx, k = ev.k] {
-            auto post =
-                app.post("post #" + std::to_string(k) + " by user" + std::to_string(idx));
-            out.oracle.record_post({{node.user_id(), post.msg_num},
-                                    node.user_id(),
-                                    sched.now(),
-                                    mobility.position(idx, sched.now())});
-          });
-          break;
-        case detail::TimelineEvent::Kind::Flood:
-          sched.schedule_at(ev.t, [&node, idx, k = ev.k] {
-            node.publish(util::to_bytes("junk #" + std::to_string(k) + " from user" +
-                                        std::to_string(idx)));
-          });
-          break;
-        case detail::TimelineEvent::Kind::Reboot:
-          sched.schedule_at(ev.t, [&node, churn = ev.churn] {
-            node.reboot(churn->lose_store, churn->lose_resume_cache);
-          });
-          break;
-      }
-      ++cursor;
-    }
-  }
-
-  sched.run_until(t_end);
-
-  for (std::uint32_t n : e.nodes) {
-    mw::SosNode& node = *st.nodes[n];
-    node.on_carry = nullptr;
-    node.on_data = nullptr;
-    node.detach();
-    st.resume_at[n] = t_end;
-  }
-  out.wire_frames = net.frames_sent();
-  out.wire_bytes = net.bytes_sent();
-  out.connections = net.connections_established();
-  out.connections_failed = net.connections_failed();
-  out.frames_lost = net.frames_lost();
-  out.frames_dropped_fault = net.frames_dropped_fault();
-  // player cancels its leftover events before sched is destroyed.
-}
-
-/// One ContactDag task on its own shard — the sub-episode engine's unit.
-/// The differences from run_episode are exactly the strand semantics:
-/// each member's timeline slice ends at the member's OWN strand end (not
-/// the task's global end), and each member detaches at that strand end via
-/// a scheduled event, so a task whose span overlaps another task's span
-/// never holds a node past its last contact here. Pending timers recorded
-/// at the detach re-arm on the node's next shard at their original
-/// absolute deadlines — every such deadline is >= the detach time, and the
-/// next shard starts no later than this node's resume point, so nothing is
-/// ever clamped differently than the single-scheduler path.
-void run_strand_task(const EngineState& st, std::size_t ti) {
-  const sim::ContactTask& task = st.dag->tasks()[ti];
-  const ScenarioConfig& config = st.config;
-  const bool tail = task.contacts.empty();
-  util::SimTime t_start = st.horizon;
+  util::SimTime t_start = task.last_end;
   for (const sim::ContactStrand& s : task.strands)
     t_start = std::min(t_start, st.resume_at[s.node]);
-  const util::SimTime t_end = tail ? st.horizon : task.last_end;
 
   sim::Scheduler sched(t_start);
   sim::MpcNetwork net(sched, config.nodes, config.radio);
@@ -321,11 +208,11 @@ void run_strand_task(const EngineState& st, std::size_t ti) {
   };
   player.start();
 
-  EpisodeOut& out = st.outs[ti];
+  TaskOut& out = st.outs[ti];
   const sim::TrajectoryMobility& mobility = st.world.mobility;
 
   // Attach members in ascending node order (strands are sorted by node) —
-  // the order the single-scheduler path registers their timers in.
+  // the order the fleet registered their timers in at start-up.
   for (const sim::ContactStrand& s : task.strands) {
     mw::SosNode& node = *st.nodes[s.node];
     node.attach(sched, net.endpoint(static_cast<sim::PeerId>(s.node)));
@@ -345,7 +232,7 @@ void run_strand_task(const EngineState& st, std::size_t ti) {
   // node's last contact in this task belongs to the node's next shard,
   // where it fires at the same absolute time with the same local state.
   for (const sim::ContactStrand& s : task.strands) {
-    const util::SimTime cutoff = tail ? st.horizon : s.last_end;
+    const util::SimTime cutoff = s.last_end;
     const std::vector<detail::TimelineEvent>& tl = st.timelines[s.node];
     std::size_t& cursor = st.timeline_cursor[s.node];
     while (cursor < tl.size() && tl[cursor].t <= cutoff) {
@@ -365,6 +252,9 @@ void run_strand_task(const EngineState& st, std::size_t ti) {
           });
           break;
         case detail::TimelineEvent::Kind::Flood:
+          // Junk publish straight through the middleware (no app, and never
+          // recorded as a post: the oracle's delivered-of-posted metrics
+          // must count only the honest workload).
           sched.schedule_at(ev.t, [&node, idx, k = ev.k] {
             node.publish(util::to_bytes("junk #" + std::to_string(k) + " from user" +
                                         std::to_string(idx)));
@@ -387,34 +277,23 @@ void run_strand_task(const EngineState& st, std::size_t ti) {
   // notifies on_disconnected via schedule_in(0), which triggers the session
   // drop and the adaptive verify flush), and those land *behind* any
   // pre-scheduled event at the same timestamp. run_until(t) drains every
-  // cascade at t first, exactly like run_episode's detach-after-run — so by
-  // the time a member detaches, its sessions have already died the same
-  // death (and flushed the same queues) as on the single-scheduler path.
-  if (!tail) {
-    std::map<util::SimTime, std::vector<std::uint32_t>> detach_groups;
-    for (const sim::ContactStrand& s : task.strands)
-      detach_groups[s.last_end].push_back(s.node);
-    for (const auto& [at, members] : detach_groups) {
-      sched.run_until(at);
-      for (std::uint32_t n : members) {
-        mw::SosNode& node = *st.nodes[n];
-        node.on_carry = nullptr;
-        node.on_data = nullptr;
-        node.detach();
-      }
-    }
-  } else {
-    sched.run_until(t_end);
-    for (const sim::ContactStrand& s : task.strands) {
-      mw::SosNode& node = *st.nodes[s.node];
+  // cascade at t first — so by the time a member detaches, its sessions
+  // have already died the same death (and flushed the same queues) as on one
+  // uninterrupted scheduler. The tail and mono tasks hold every strand to
+  // the segment end, so they detach everyone there in one group.
+  std::map<util::SimTime, std::vector<std::uint32_t>> detach_groups;
+  for (const sim::ContactStrand& s : task.strands) detach_groups[s.last_end].push_back(s.node);
+  for (const auto& [at, members] : detach_groups) {
+    sched.run_until(at);
+    for (std::uint32_t n : members) {
+      mw::SosNode& node = *st.nodes[n];
       node.on_carry = nullptr;
       node.on_data = nullptr;
       node.detach();
+      st.resume_at[n] = at;
     }
   }
 
-  for (const sim::ContactStrand& s : task.strands)
-    st.resume_at[s.node] = tail ? t_end : s.last_end;
   out.wire_frames = net.frames_sent();
   out.wire_bytes = net.bytes_sent();
   out.connections = net.connections_established();
@@ -460,8 +339,8 @@ ReplaySession::ReplaySession(const ScenarioConfig& config, const ScenarioWorld& 
   im.horizon = util::days(config.days);
 
   // Compiled fault plan; trace-reshaping faults transform the recorded
-  // trace BEFORE partitioning, so the task DAG decomposes the same faulted
-  // world the single-scheduler path replays.
+  // trace BEFORE partitioning, so the mono task and the strand DAG replay
+  // the same faulted world.
   if (config.faults.any()) im.fault_plan.emplace(config.faults, config.seed, config.nodes);
   const sim::FaultPlan* plan = im.fault_plan ? &*im.fault_plan : nullptr;
   im.trace = &world.trace;
@@ -470,10 +349,10 @@ ReplaySession::ReplaySession(const ScenarioConfig& config, const ScenarioWorld& 
     im.trace = &im.faulted;
   }
 
-  // --- RNG streams, consumed in exactly the single-scheduler order --------
+  // --- RNG streams: the first fork drew the recorded mobility ------------
   util::Rng rng(config.seed);
   {
-    util::Rng discard = rng.fork();  // the mobility fork replay mode skips
+    util::Rng discard = rng.fork();  // record_world's mobility fork
     (void)discard;
   }
 
@@ -551,85 +430,47 @@ void ReplaySession::advance_to(util::SimTime t) {
   sim::ContactTrace seg;
   for (std::size_t i : picked) seg.add(contacts[i]);
 
-  // Partition the segment on the selected engine, with the cut as the
-  // horizon: the trailing tail task runs every node's local timers up to
-  // the cut, which is exactly what makes the cut a serializable state.
-  const bool strands = im.replay.subepisode_jobs > 0;
-  const bool episodes_engine = !strands && im.replay.partition;
-  sim::EpisodeGraph graph;
+  // Cut the segment into tasks, with the cut as the horizon. Strands: the
+  // ContactDag, whose trailing tail task runs every node's local timers up
+  // to the cut — exactly what makes the cut a serializable state. Mono: one
+  // task holding every node from the segment start to the cut, so a node
+  // never detaches mid-segment — the reference the strand DAG is pinned
+  // against at every job count.
   sim::ContactDag dag;
-  std::vector<sim::Episode> mono;
-  const std::vector<sim::Episode>* episodes = nullptr;
-  std::size_t task_count = 0;
+  std::vector<sim::ContactTask> mono;
   std::size_t jobs = 1;
-  if (strands) {
+  if (im.replay.subepisode_jobs > 0) {
     dag = sim::ContactDag::partition(seg, im.config.nodes, t);
-    task_count = dag.tasks().size();
     jobs = im.replay.subepisode_jobs;
-  } else if (episodes_engine) {
-    graph = sim::EpisodeGraph::partition(seg, im.config.nodes, t);
-    episodes = &graph.episodes();
-    task_count = graph.episodes().size();
-    jobs = im.replay.jobs;
   } else {
-    // Mono engine: one fused task holding every node for the whole segment
-    // (single-scheduler semantics), then the tail to the cut.
-    if (seg.size() > 0) {
-      sim::Episode all;
-      for (std::size_t n = 0; n < im.config.nodes; ++n)
-        all.nodes.push_back(static_cast<std::uint32_t>(n));
-      all.first_start = seg.contacts().front().start;
-      all.last_end = 0;
-      for (std::size_t ci = 0; ci < seg.size(); ++ci) {
-        all.contacts.push_back(ci);
-        all.first_start = std::min(all.first_start, seg.contacts()[ci].start);
-        all.last_end = std::max(all.last_end, seg.contacts()[ci].end);
-      }
-      mono.push_back(std::move(all));
-    }
-    sim::Episode tail;
+    sim::ContactTask& all = mono.emplace_back();
     for (std::size_t n = 0; n < im.config.nodes; ++n)
-      tail.nodes.push_back(static_cast<std::uint32_t>(n));
-    tail.last_end = t;
-    if (!mono.empty()) tail.deps.push_back(0);
-    mono.push_back(std::move(tail));
-    episodes = &mono;
-    task_count = mono.size();
+      all.strands.push_back({static_cast<std::uint32_t>(n), 0, t});
+    all.contacts.resize(seg.size());
+    std::iota(all.contacts.begin(), all.contacts.end(), std::size_t{0});
+    all.last_end = t;
   }
+  const std::vector<sim::ContactTask>& tasks = mono.empty() ? dag.tasks() : mono;
 
-  std::vector<EpisodeOut> outs(task_count);
+  std::vector<TaskOut> outs(tasks.size());
   EngineState st{im.config,
                  im.world,
                  seg,
                  plan,
-                 episodes,
-                 strands ? &dag : nullptr,
+                 tasks,
                  im.fleet.nodes,
                  im.fleet.apps,
                  im.timelines,
                  im.timeline_cursor,
                  im.resume_at,
-                 outs,
-                 t};
-
-  if (strands) {
-    execute_task_dag(
-        task_count,
-        [&](std::size_t i) -> const std::vector<std::size_t>& { return dag.tasks()[i].deps; },
-        [&](std::size_t i) { run_strand_task(st, i); }, jobs, im.replay.budget,
-        "contact-strand DAG");
-  } else {
-    execute_task_dag(
-        task_count,
-        [&](std::size_t i) -> const std::vector<std::size_t>& { return (*episodes)[i].deps; },
-        [&](std::size_t i) { run_episode(st, i); }, jobs, im.replay.budget, "episode graph");
-  }
+                 outs};
+  execute_task_dag(tasks, [&](std::size_t i) { run_task(st, i); }, jobs, im.replay.budget);
 
   // Merge in task-index order — deterministic regardless of worker count.
-  for (const EpisodeOut& out : outs) {
-    for (const auto& r : out.oracle.posts()) im.result.oracle.record_post(r);
-    for (const auto& r : out.oracle.carries()) im.result.oracle.record_carry(r);
-    for (const auto& r : out.oracle.deliveries()) im.result.oracle.record_delivery(r);
+  // Task oracles are moved, not copied: the first non-empty one is taken
+  // over wholesale, so a mono run never holds its records twice.
+  for (TaskOut& out : outs) {
+    im.result.oracle.append(std::move(out.oracle));
     im.result.wire_frames += out.wire_frames;
     im.result.wire_bytes += out.wire_bytes;
     im.result.connections += out.connections;
@@ -792,14 +633,6 @@ bool ReplaySession::load_state(util::Reader& r) {
   for (std::size_t i = 0; i < contacts.size(); ++i) im.consumed[i] = contacts[i].end <= now;
   im.now = now;
   return true;
-}
-
-ScenarioResult replay_scenario_episodes(const ScenarioConfig& config,
-                                        const ScenarioWorld& world,
-                                        const ReplayOptions& replay) {
-  ReplaySession session(config, world, replay);
-  session.advance_to(session.horizon());
-  return session.finish();
 }
 
 }  // namespace sos::deploy

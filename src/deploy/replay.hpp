@@ -1,22 +1,21 @@
-// Partitioned replay engines. A recorded ScenarioWorld fixes every contact
-// before replay begins, so the run can be cut into a task DAG and executed
-// on scheduler/network shards, per-node middleware state carried across
-// shard boundaries through the SosNode detach/attach seam. Two partition
-// granularities share one annotated Kahn worker machinery:
+// The replay engine: every scenario run replays a recorded ScenarioWorld.
+// The world fixes every contact before replay begins, so the run can be cut
+// into a task DAG and executed on scheduler/network shards, per-node
+// middleware state carried across shard boundaries through the SosNode
+// detach/attach seam. Two task lists share one runner and one annotated
+// Kahn worker pool:
 //
-//   * episodes (sim::EpisodeGraph, ReplayOptions::partition/jobs): nodes
-//     stay attached until the episode's global end, so overlapping node
-//     windows fuse — conservative, but a dense single-hotspot day
-//     collapses to one serial episode;
-//   * contact strands (sim::ContactDag, ReplayOptions::subepisode_jobs):
-//     each member detaches at its own last contact within a task, cutting
-//     node timelines into strands between consecutive contacts — the
-//     recorded trace is the conservative-lookahead oracle that makes this
-//     safe without any null-message protocol.
+//   * mono (ReplayOptions::subepisode_jobs == 0, the default): exactly one
+//     task per segment, holding every node from the segment start to the
+//     cut — one scheduler for the whole run, the reference oracle;
+//   * contact strands (sim::ContactDag, subepisode_jobs > 0): each member
+//     detaches at its own last contact within a task, cutting node
+//     timelines into strands between consecutive contacts — the recorded
+//     trace is the conservative-lookahead oracle that makes this safe
+//     without any null-message protocol.
 //
-// Per-task metrics merge in deterministic task-index order; results are
-// bitwise identical to the single-scheduler replay on both engines at any
-// worker count.
+// Per-task metrics merge in deterministic task-index order; strand results
+// are bitwise identical to mono at any worker count.
 #pragma once
 
 #include <atomic>
@@ -36,8 +35,8 @@ class Reader;
 
 namespace sos::deploy {
 
-/// Token pool shared between cell-level (SweepRunner) and episode-level
-/// workers: a sweep hands its thread budget to one WorkerBudget; episode
+/// Token pool shared between cell-level (SweepRunner) and strand-level
+/// workers: a sweep hands its thread budget to one WorkerBudget; strand
 /// engines borrow extra workers from it and return them, so nested
 /// parallelism never oversubscribes the requested job count.
 ///
@@ -46,7 +45,7 @@ namespace sos::deploy {
 /// protocol — every acquire() return value must eventually be release()d
 /// by the same logical owner, and release() never invents tokens the
 /// owner did not hold. The donation path (a finished sweep cell releasing
-/// its own thread for still-running episode engines to borrow) relies on
+/// its own thread for still-running strand engines to borrow) relies on
 /// exactly this conservation; tests/sweep_test.cpp hammers it under TSan.
 class WorkerBudget {
  public:
@@ -73,23 +72,20 @@ class WorkerBudget {
   std::atomic<std::size_t> available_;
 };
 
-/// A replay broken into externally driven segments — the engine under the
-/// soak harness's checkpoint/resume. Construction performs exactly the
-/// setup sequence replay_scenario_episodes always ran (RNG stream order,
-/// fleet build, social wiring, workload timelines); advance_to(t) then
-/// replays every remaining contact ending at or before t on the selected
-/// engine and runs each node's local timers up to t, so a cut placed in a
-/// globally quiescent contact gap leaves the fleet in a serializable state
-/// (no sessions, no verify queues — only absolute timer deadlines).
-/// Segment-by-segment execution is bitwise identical to one uninterrupted
-/// advance_to(horizon()): episodes never straddle a quiescent gap, and
-/// per-node state crosses segments through the same detach/attach seam it
-/// crosses shard boundaries with.
+/// A replay broken into externally driven segments — the engine behind
+/// run_scenario and under the soak harness's checkpoint/resume.
+/// Construction performs the setup sequence (RNG stream order, fleet build,
+/// social wiring, workload timelines); advance_to(t) then replays every
+/// remaining contact ending at or before t and runs each node's local
+/// timers up to t, so a cut placed in a globally quiescent contact gap
+/// leaves the fleet in a serializable state (no sessions, no verify queues
+/// — only absolute timer deadlines). Segment-by-segment execution is
+/// bitwise identical to one uninterrupted advance_to(horizon()): tasks never
+/// straddle a quiescent gap, and per-node state crosses segments through the
+/// same detach/attach seam it crosses shard boundaries with.
 ///
-/// Engine selection from ReplayOptions: subepisode_jobs > 0 = contact-strand
-/// DAG, partition = episode graph, neither = a single fused task per segment
-/// (single-scheduler semantics on the replay machinery — the soak CLI's
-/// "mono" engine).
+/// ReplayOptions::subepisode_jobs selects the task list: > 0 = contact-strand
+/// DAG on that many workers, 0 = the mono task (one per segment).
 class ReplaySession {
  public:
   ReplaySession(const ScenarioConfig& config, const ScenarioWorld& world,
@@ -138,15 +134,5 @@ class ReplaySession {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Run `config` over the recorded world on a partitioned engine — the
-/// sub-episode strand engine when replay.subepisode_jobs > 0, else the
-/// episode engine. Called through run_scenario(config, &world,
-/// {.partition = true, ...}) or {.subepisode_jobs = N}; exposed for tests
-/// that want a partitioned engine unconditionally. Equivalent to driving a
-/// ReplaySession straight to the horizon.
-ScenarioResult replay_scenario_episodes(const ScenarioConfig& config,
-                                        const ScenarioWorld& world,
-                                        const ReplayOptions& replay);
 
 }  // namespace sos::deploy

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "alleyoop/app.hpp"
@@ -136,7 +135,7 @@ std::vector<std::vector<TimelineEvent>> build_timelines(const ScenarioConfig& co
         if (c.up_at < horizon) tl.push_back({c.up_at, TimelineEvent::Kind::Reboot, 0, &c});
       }
       // Stable sort: same-instant ties keep insertion order (Post < Flood <
-      // Reboot), the tie-break both engines rely on.
+      // Reboot), the tie-break every replay task relies on.
       std::stable_sort(tl.begin(), tl.end(), [](const TimelineEvent& a, const TimelineEvent& b) {
         return a.t < b.t;
       });
@@ -179,7 +178,7 @@ void add_stats(mw::NodeStats& a, const mw::NodeStats& b) {
 
 graph::Digraph scenario_social_graph(const ScenarioConfig& config) {
   util::Rng rng(config.seed);
-  util::Rng mobility_rng = rng.fork();  // consumed first by run_scenario
+  util::Rng mobility_rng = rng.fork();  // consumed first by record_world
   (void)mobility_rng;
   return detail::build_social_graph(config, rng);
 }
@@ -207,164 +206,16 @@ std::shared_ptr<const ScenarioWorld> record_world(const ScenarioConfig& config) 
 
 ScenarioResult run_scenario(const ScenarioConfig& config, const ScenarioWorld* world,
                             const ReplayOptions& replay) {
-  if (config.faults.reshapes_trace() && world == nullptr) {
-    // Trace-reshaping faults (churn/partitions/disconnect windows) are a
-    // pure transformation of a recorded contact trace — that is what makes
-    // them engine-invariant — so a live run records its world on the fly
-    // and replays it.
-    std::shared_ptr<const ScenarioWorld> recorded = record_world(config);
-    return run_scenario(config, recorded.get(), replay);
+  // One path for every run: a caller without a world records one, and
+  // every world is replayed by a ReplaySession driven to the horizon.
+  std::shared_ptr<const ScenarioWorld> recorded;
+  if (world == nullptr) {
+    recorded = record_world(config);
+    world = recorded.get();
   }
-  if (world != nullptr && (replay.partition || replay.subepisode_jobs > 0)) {
-    return replay_scenario_episodes(config, *world, replay);
-  }
-
-  sim::Scheduler sched;
-  util::Rng rng(config.seed);
-  double horizon = util::days(config.days);
-
-  // Compiled fault plan; absent (the common case) every fault hook below
-  // is skipped and the engine is bit-identical to the pre-fault one.
-  std::optional<sim::FaultPlan> fault_plan;
-  if (config.faults.any()) fault_plan.emplace(config.faults, config.seed, config.nodes);
-  const sim::FaultPlan* plan = fault_plan ? &*fault_plan : nullptr;
-
-  // --- mobility + radio ----------------------------------------------------
-  std::unique_ptr<sim::TrajectoryMobility> owned_mobility;
-  const sim::MobilityModel* mobility = nullptr;
-  if (world) {
-    // Replay mode: positions come from the recorded trajectories; consume
-    // the mobility fork anyway to keep the downstream RNG streams aligned.
-    util::Rng discard = rng.fork();
-    (void)discard;
-    mobility = &world->mobility;
-  } else {
-    owned_mobility = detail::build_mobility(config, rng);
-    mobility = owned_mobility.get();
-  }
-
-  sim::MpcNetwork net(sched, config.nodes, config.radio);
-  if (plan != nullptr) net.set_fault_plan(plan);
-  auto range_on = [&net](std::uint32_t a, std::uint32_t b) {
-    net.set_in_range(static_cast<sim::PeerId>(a), static_cast<sim::PeerId>(b), true);
-  };
-  auto range_off = [&net](std::uint32_t a, std::uint32_t b) {
-    net.set_in_range(static_cast<sim::PeerId>(a), static_cast<sim::PeerId>(b), false);
-  };
-  std::optional<sim::EncounterDetector> detector;
-  std::optional<sim::TracePlayer> player;
-  std::uint64_t contact_count = 0;
-  if (world) {
-    sim::ContactTrace trace = world->trace;
-    if (plan != nullptr && plan->reshapes_trace()) trace = plan->apply(world->trace);
-    contact_count = trace.size();
-    player.emplace(sched, std::move(trace));
-    player->on_contact_start = range_on;
-    player->on_contact_end = range_off;
-    player->start();
-  } else {
-    detector.emplace(sched, *mobility, config.radio.range_m, config.encounter_tick_s);
-    detector->on_contact_start = [&](std::size_t a, std::size_t b) {
-      range_on(static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b));
-    };
-    detector->on_contact_end = [&](std::size_t a, std::size_t b) {
-      range_off(static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b));
-    };
-    detector->start(horizon);
-  }
-
-  // --- users: Fig 2a bootstrap, SOS node, AlleyOop app ---------------------
-  ScenarioResult result;
-  MetricsOracle& oracle = result.oracle;
-
-  // Replay runs share one memo of signature verdicts across all nodes: the
-  // verdict is a pure function of (key, message, signature), so each
-  // distinct triple pays the curve math once per run instead of once per
-  // carrying node. Counters and metrics are unchanged. A caller-owned memo
-  // (replay.memo) widens the scope to every variant of a sweep cell.
-  std::optional<crypto::VerifyMemo> local_memo;
-  crypto::VerifyMemo* verify_memo = nullptr;
-  if (world != nullptr && replay.share_verify_memo) {
-    verify_memo = replay.memo != nullptr ? replay.memo : &local_memo.emplace();
-  }
-
-  detail::Fleet fleet;
-  detail::build_fleet(fleet, config, sched, net, verify_memo, plan);
-  auto& nodes = fleet.nodes;
-  auto& apps = fleet.apps;
-
-  // --- social graph (subscriptions) -----------------------------------------
-  graph::Digraph social = detail::build_social_graph(config, rng);
-  result.social = social;
-  oracle.set_subscriptions(detail::wire_follows(fleet, social));
-
-  // --- instrumentation --------------------------------------------------------
-  for (std::size_t i = 0; i < config.nodes; ++i) {
-    mw::SosNode& node = *nodes[i];
-    std::size_t idx = i;
-    node.on_carry = [&, idx](const bundle::Bundle& b) {
-      oracle.record_carry(
-          {b.id(), nodes[idx]->user_id(), sched.now(), mobility->position(idx, sched.now())});
-    };
-    node.on_data = [&, idx](const bundle::Bundle& b, const pki::Certificate&) {
-      oracle.record_delivery({b.id(), nodes[idx]->user_id(), sched.now(), b.hop_count,
-                              mobility->position(idx, sched.now())});
-    };
-    node.start();
-  }
-
-  // --- workload: posts + adversarial junk + reboots -------------------------
-  // One merged chronological timeline per node, scheduled strictly in list
-  // order (the same order the episode engine uses), so same-timestamp ties
-  // and boundary clamps resolve identically in both engines.
-  util::Rng workload_rng = rng.fork();
-  auto timelines = detail::build_timelines(config, workload_rng, plan);
-  for (std::size_t i = 0; i < config.nodes; ++i) {
-    std::size_t idx = i;
-    for (const detail::TimelineEvent& ev : timelines[i]) {
-      switch (ev.kind) {
-        case detail::TimelineEvent::Kind::Post:
-          sched.schedule_at(ev.t, [&, idx, k = ev.k] {
-            auto post = apps[idx]->post("post #" + std::to_string(k) + " by user" +
-                                        std::to_string(idx));
-            oracle.record_post({{nodes[idx]->user_id(), post.msg_num},
-                                nodes[idx]->user_id(),
-                                sched.now(),
-                                mobility->position(idx, sched.now())});
-          });
-          break;
-        case detail::TimelineEvent::Kind::Flood:
-          // Junk publish straight through the middleware (no app, and never
-          // recorded as a post: the oracle's delivered-of-posted metrics
-          // must count only the honest workload).
-          sched.schedule_at(ev.t, [&, idx, k = ev.k] {
-            nodes[idx]->publish(util::to_bytes("junk #" + std::to_string(k) + " from user" +
-                                               std::to_string(idx)));
-          });
-          break;
-        case detail::TimelineEvent::Kind::Reboot:
-          sched.schedule_at(ev.t, [&, idx, churn = ev.churn] {
-            nodes[idx]->reboot(churn->lose_store, churn->lose_resume_cache);
-          });
-          break;
-      }
-    }
-  }
-
-  // --- run ------------------------------------------------------------------------
-  sched.run_until(horizon);
-
-  // --- collect ----------------------------------------------------------------------
-  for (const auto& node : nodes) detail::add_stats(result.totals, node->stats());
-  result.contacts = world ? contact_count : detector->total_contacts_seen();
-  result.wire_frames = net.frames_sent();
-  result.wire_bytes = net.bytes_sent();
-  result.connections = net.connections_established();
-  result.connections_failed = net.connections_failed();
-  result.frames_lost = net.frames_lost();
-  result.frames_dropped_fault = net.frames_dropped_fault();
-  result.simulated_days = config.days;
-  return result;
+  ReplaySession session(config, *world, replay);
+  session.advance_to(session.horizon());
+  return session.finish();
 }
 
 }  // namespace sos::deploy

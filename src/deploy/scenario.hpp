@@ -41,8 +41,9 @@ struct ScenarioConfig {
   /// disjoint mobility communities — separate hotspot pools and home
   /// clusters — and `bridge_node_frac` of the nodes commute between them
   /// across days. 1 is the classic single-hotspot-pool city. Community
-  /// traces decompose into parallel episodes (sim::EpisodeGraph), which is
-  /// what makes --episode-jobs effective on them.
+  /// traces decompose into many independent contact-strand tasks
+  /// (sim::ContactDag), which is what makes --subepisode-jobs effective on
+  /// them.
   std::size_t communities = 1;
   double bridge_node_frac = 0.0;
 
@@ -64,8 +65,8 @@ struct ScenarioConfig {
   /// Disaster fault-injection plan (sim/faults.hpp): degraded links, node
   /// churn, partition-and-heal timelines, adversarial roles. Default (no
   /// faults) is bit-identical to the pre-fault engine. Trace-reshaping
-  /// faults require a recorded world; run_scenario records one on the fly
-  /// when needed. Use FaultPlanConfig::validate before sweeping grids.
+  /// faults are applied to the recorded world at replay time. Use
+  /// FaultPlanConfig::validate before sweeping grids.
   sim::FaultPlanConfig faults;
 
   /// Content-verification ablation (the "unsigned" baseline of the disaster
@@ -117,20 +118,11 @@ struct ScenarioWorld {
 /// over the full horizon, capturing the contact trace.
 std::shared_ptr<const ScenarioWorld> record_world(const ScenarioConfig& config);
 
-/// How a recorded world is replayed.
+/// How a recorded world is replayed (deploy/replay.hpp has the engine).
 struct ReplayOptions {
-  /// Episode-partitioned engine: cut the trace into causally-independent
-  /// episodes (sim::EpisodeGraph) and run each on its own scheduler shard,
-  /// carrying per-node middleware state across shard boundaries. Metrics
-  /// are bitwise identical to the single-scheduler replay at any `jobs`.
-  /// Requires a recorded world; ignored for live runs.
-  bool partition = false;
-  /// Episode-level worker threads (with partition). 1 = serial execution
-  /// of the episode DAG; results never depend on this.
-  std::size_t jobs = 1;
   /// Optional worker pool shared with the cell-level sweep (SweepRunner):
-  /// episode workers beyond the first borrow tokens from it, so cell- and
-  /// episode-level parallelism never oversubscribe the machine together.
+  /// strand workers beyond the first borrow tokens from it, so cell- and
+  /// strand-level parallelism never oversubscribe the machine together.
   class WorkerBudget* budget = nullptr;
   /// Share one signature-verdict memo across every node of the replay:
   /// each distinct (key, message, signature) triple pays curve math once
@@ -144,22 +136,21 @@ struct ReplayOptions {
   /// certificates per variant, so cross-variant re-verifies collapse too.
   /// Thread-safe; metrics are bitwise identical to the run-local scope.
   crypto::VerifyMemo* memo = nullptr;
-  /// > 0: replay on the sub-episode (contact-strand) engine instead — the
-  /// trace is cut by sim::ContactDag (per-node hull fusion instead of
-  /// episode global-span fusion) and each member detaches at its own last
-  /// contact in a task, so dense single-hotspot traces that EpisodeGraph
-  /// must serialize decompose into concurrent strand tasks. The value is
-  /// the worker count for that engine (`partition`/`jobs` are then unused);
-  /// metrics are bitwise identical to both other engines at any value.
-  /// 0 = episode engine when `partition` is set, single scheduler otherwise.
+  /// 0 (default): the mono task list — one task per segment holding every
+  /// node, i.e. one scheduler for the whole run. > 0: the contact-strand
+  /// DAG — the trace is cut by sim::ContactDag and each member detaches at
+  /// its own last contact in a task, so independent contacts replay as
+  /// concurrent tasks on this many workers. Metrics are bitwise identical
+  /// to mono at any value.
   std::size_t subepisode_jobs = 0;
 };
 
-/// Build and run the scenario to completion. With `world`, the recorded
-/// contact trace is replayed through a TracePlayer (no per-run encounter
-/// detection) and the recorded trajectories serve position lookups; the
-/// world must have been recorded from a config with identical
-/// world-shaping fields and seed. `replay` selects the replay engine.
+/// Build and run the scenario to completion: record the world when none is
+/// given, then replay it on a ReplaySession to the horizon. A given world
+/// must have been recorded from a config with identical world-shaping
+/// fields and seed; run_scenario(config) and run_scenario(config,
+/// record_world(config).get()) are bitwise identical. `replay` selects the
+/// task list and the verify-memo scope.
 ScenarioResult run_scenario(const ScenarioConfig& config,
                             const ScenarioWorld* world = nullptr,
                             const ReplayOptions& replay = {});

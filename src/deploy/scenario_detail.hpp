@@ -1,7 +1,7 @@
-// Internal helpers shared by the two replay engines (single-scheduler in
-// scenario.cpp, episode-partitioned in replay.cpp). Both must consume the
-// scenario RNG streams in exactly the same order and assemble byte-identical
-// workloads, so the pieces live here rather than being duplicated.
+// Internal scenario-assembly helpers, defined in scenario.cpp and used by
+// record_world / scenario_social_graph there and by ReplaySession in
+// replay.cpp. They consume the scenario RNG streams in a fixed order and
+// assemble byte-identical workloads, so the pieces live in one place.
 #pragma once
 
 #include <map>
@@ -20,8 +20,7 @@
 namespace sos::deploy::detail {
 
 /// The per-run fleet: SOS nodes and their AlleyOop apps over one shared
-/// cloud backend. Member order mirrors the declaration order the engines
-/// always used (destruction: cloud, apps, nodes).
+/// cloud backend (destruction order: cloud, apps, nodes).
 struct Fleet {
   std::vector<std::unique_ptr<mw::SosNode>> nodes;
   std::vector<std::unique_ptr<alleyoop::App>> apps;
@@ -30,8 +29,8 @@ struct Fleet {
 
 /// Construct the fleet against the given substrate. Everything here —
 /// device DRBG seed strings, signup order, SosConfig plumbing — is
-/// determinism-critical and must be byte-identical for every replay
-/// engine, which is why it lives in one place. `verify_memo` (optional)
+/// determinism-critical: the pinned fingerprints depend on it byte for
+/// byte. `verify_memo` (optional)
 /// is shared across all nodes; `plan` (optional) assigns adversarial
 /// behavior per the plan's node roles (blackhole scheme, forged
 /// signatures).
@@ -60,12 +59,10 @@ struct TimelineEvent {
 };
 
 /// Per-node chronological timelines of workload posts, adversarial junk
-/// publishes (flooder/forger roles), and reboot events (churn up_at). Both
-/// replay engines schedule each node's timeline strictly in this order:
-/// episode shards clamp pre-window events to their start while preserving
-/// insertion order, so the single-scheduler relative order survives the
-/// clamp only if both engines schedule from one merged list. Ties keep
-/// Post < Flood < Reboot. Posts inside a down-window are omitted (a dead
+/// publishes (flooder/forger roles), and reboot events (churn up_at). Every
+/// replay task schedules its members' slices strictly in this order, so
+/// same-instant ties resolve identically whichever shard a slice lands on.
+/// Ties keep Post < Flood < Reboot. Posts inside a down-window are omitted (a dead
 /// phone cannot post); reboots at/after the horizon never fire. Consumes
 /// the workload stream exactly as the pre-fault engines did. `plan` may be
 /// null (plain posting timelines); otherwise it must outlive the result.
@@ -74,8 +71,8 @@ std::vector<std::vector<TimelineEvent>> build_timelines(const ScenarioConfig& co
                                                         const sim::FaultPlan* plan);
 
 /// Generate the config's mobility trajectories. Consumes exactly one fork
-/// of the scenario RNG regardless of mode so the graph/workload streams
-/// stay identical between live and replay runs.
+/// of the scenario RNG; ReplaySession skips that fork so its graph and
+/// workload streams line up with the recording.
 std::unique_ptr<sim::TrajectoryMobility> build_mobility(const ScenarioConfig& config,
                                                         util::Rng& rng);
 

@@ -2,7 +2,6 @@
 
 #include "crypto/verify_memo.hpp"
 #include "deploy/replay.hpp"
-#include "sim/episode.hpp"
 #include "sim/subepisode.hpp"
 
 #include <atomic>
@@ -83,11 +82,11 @@ std::vector<CellResult> SweepRunner::run(const std::vector<SweepCell>& cells) co
   std::vector<CellResult> results(items.size());
   // Concurrency audit (why nothing here is SOS_GUARDED_BY): every shared
   // vector is sliced so each slot has exactly one writer — results[i] by the
-  // worker that claimed item i off the atomic counter, worlds/parallelism/
-  // episode_counts/memos[cell] by the call_once winner (losers block until
-  // the write is published by call_once's internal fence). Readers see those
-  // writes through call_once (same cell) or thread join (the merge below).
-  // The only mutexes on this path live inside VerifyMemo and the episode
+  // worker that claimed item i off the atomic counter, worlds/memos/
+  // strand_*[cell] by the call_once winner (losers block until the write is
+  // published by call_once's internal fence). Readers see those writes
+  // through call_once (same cell) or thread join (the merge below). The
+  // only mutexes on this path live inside VerifyMemo and the replay
   // engine's KahnQueue, both annotated at their definitions.
   // Worlds are recorded lazily, once per cell, by whichever worker reaches
   // the cell first; call_once blocks that cell's other variants (not other
@@ -97,25 +96,20 @@ std::vector<CellResult> SweepRunner::run(const std::vector<SweepCell>& cells) co
   std::unique_ptr<std::once_flag[]> world_once(new std::once_flag[cells.size()]);
   std::vector<std::shared_ptr<const ScenarioWorld>> worlds(cells.size());
   std::vector<std::unique_ptr<crypto::VerifyMemo>> memos(cells.size());
-  std::vector<double> parallelism(cells.size(), 0.0);
-  std::vector<std::size_t> episode_counts(cells.size(), 0);
   std::vector<double> strand_parallelism(cells.size(), 0.0);
   std::vector<std::size_t> strand_width(cells.size(), 0);
 
-  // Nested parallelism: cell workers and episode workers draw on one token
+  // Nested parallelism: cell workers and strand workers draw on one token
   // pool sized to the job count. Tokens not consumed by cell workers (and
   // tokens cell workers return as the grid drains) are borrowed by the
-  // episode engines of still-running cells, so the heavy cells inherit the
+  // strand engines of still-running cells, so the heavy cells inherit the
   // threads their finished siblings no longer need.
   std::size_t cell_workers =
       (opts_.jobs <= 1 || items.size() <= 1) ? 1 : std::min(opts_.jobs, items.size());
   WorkerBudget budget(opts_.jobs > cell_workers ? opts_.jobs - cell_workers : 0);
-  const bool partitioned = opts_.episode_jobs > 0 || opts_.subepisode_jobs > 0;
   ReplayOptions replay;
-  replay.partition = opts_.episode_jobs > 0;
-  replay.jobs = opts_.episode_jobs > 0 ? opts_.episode_jobs : 1;
-  replay.subepisode_jobs = opts_.subepisode_jobs;  // > 0 selects the strand engine
-  replay.budget = partitioned ? &budget : nullptr;
+  replay.subepisode_jobs = opts_.subepisode_jobs;  // > 0 selects the strand DAG
+  replay.budget = opts_.subepisode_jobs > 0 ? &budget : nullptr;
 
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
@@ -125,43 +119,33 @@ std::vector<CellResult> SweepRunner::run(const std::vector<SweepCell>& cells) co
       const ScenarioVariant& variant = cell.variants[item.variant];
       ScenarioConfig config = variant_config(cell, variant, opts_, item.cell);
 
-      std::shared_ptr<const ScenarioWorld> world;
-      if (opts_.reuse_traces) {
-        std::call_once(world_once[item.cell], [&] {
-          worlds[item.cell] = record_world(config);
-          sim::EpisodeGraph graph = sim::EpisodeGraph::partition(
-              worlds[item.cell]->trace, config.nodes, util::days(config.days));
-          parallelism[item.cell] = graph.parallelism();
-          episode_counts[item.cell] = graph.contact_episode_count();
-          sim::ContactDag dag = sim::ContactDag::partition(
-              worlds[item.cell]->trace, config.nodes, util::days(config.days));
-          strand_parallelism[item.cell] = dag.parallelism();
-          strand_width[item.cell] = dag.width();
-          if (opts_.cell_verify_memo) {
-            memos[item.cell] = std::make_unique<crypto::VerifyMemo>();
-          }
-        });
-        world = worlds[item.cell];
-      }
+      std::call_once(world_once[item.cell], [&] {
+        worlds[item.cell] = record_world(config);
+        sim::ContactDag dag = sim::ContactDag::partition(
+            worlds[item.cell]->trace, config.nodes, util::days(config.days));
+        strand_parallelism[item.cell] = dag.parallelism();
+        strand_width[item.cell] = dag.width();
+        if (opts_.cell_verify_memo) {
+          memos[item.cell] = std::make_unique<crypto::VerifyMemo>();
+        }
+      });
+      const ScenarioWorld* world = worlds[item.cell].get();
 
       CellResult& out = results[i];
       ReplayOptions item_replay = replay;
       item_replay.memo = memos[item.cell].get();  // nullptr = run-local scope
       auto t0 = std::chrono::steady_clock::now();
-      out.result = run_scenario(config, world.get(), item_replay);
+      out.result = run_scenario(config, world, item_replay);
       out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
       out.cell = item.cell;
       out.variant = item.variant;
       const std::string& vlabel = variant.label.empty() ? variant.scheme : variant.label;
       out.label = cell.label.empty() ? vlabel : cell.label + "/" + vlabel;
       out.config = std::move(config);
-      out.replayed = world != nullptr;
-      out.episode_parallelism = parallelism[item.cell];
-      out.episodes = episode_counts[item.cell];
       out.subepisode_parallelism = strand_parallelism[item.cell];
       out.subepisode_width = strand_width[item.cell];
     }
-    // This cell worker is done: hand its thread token to the episode
+    // This cell worker is done: hand its thread token to the strand
     // engines of cells still running.
     budget.release(1);
   };
@@ -196,9 +180,6 @@ SweepOptions sweep_options_from_args(int argc, char** argv) {
   if (const char* env = std::getenv("SOS_SWEEP_JOBS")) {
     opts.jobs = parse_jobs(env, opts.jobs, "SOS_SWEEP_JOBS");
   }
-  if (const char* env = std::getenv("SOS_EPISODE_JOBS")) {
-    opts.episode_jobs = parse_jobs(env, opts.episode_jobs, "SOS_EPISODE_JOBS");
-  }
   if (const char* env = std::getenv("SOS_SUBEPISODE_JOBS")) {
     opts.subepisode_jobs = parse_jobs(env, opts.subepisode_jobs, "SOS_SUBEPISODE_JOBS");
   }
@@ -212,14 +193,6 @@ SweepOptions sweep_options_from_args(int argc, char** argv) {
       }
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
       opts.jobs = parse_jobs(arg + 7, opts.jobs, "--jobs");
-    } else if (std::strcmp(arg, "--episode-jobs") == 0) {
-      if (i + 1 < argc) {
-        opts.episode_jobs = parse_jobs(argv[++i], opts.episode_jobs, "--episode-jobs");
-      } else {
-        std::fprintf(stderr, "warning: %s needs a value; ignoring\n", arg);
-      }
-    } else if (std::strncmp(arg, "--episode-jobs=", 15) == 0) {
-      opts.episode_jobs = parse_jobs(arg + 15, opts.episode_jobs, "--episode-jobs");
     } else if (std::strcmp(arg, "--subepisode-jobs") == 0) {
       if (i + 1 < argc) {
         opts.subepisode_jobs =
@@ -262,9 +235,9 @@ std::vector<SweepCell> density_ablation_grid(double days) {
   // derived seeds): four disjoint 12-node communities with their own
   // hotspot pools and home clusters, 10% bridge commuters. Spatially this
   // is four sparse villages rather than one dense city, and causally it is
-  // the regime where the episode partitioner actually decomposes the day —
-  // the per-cell parallelism column should read >= 2 here and ~1 on the
-  // single-hotspot cells above (pinned by tests/episode_test.cpp).
+  // the regime where the contact-strand DAG decomposes the day into many
+  // independent tasks — the per-cell parallelism column should read >= 2
+  // here (pinned by tests/episode_test.cpp).
   SweepCell comm = cell(48, 6000, 6000);
   comm.label = "48n-4c";
   comm.config.communities = 4;

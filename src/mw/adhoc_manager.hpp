@@ -50,7 +50,7 @@ class AdHocManager {
   /// Begin advertising + browsing (both roles, as AlleyOop does).
   void start();
 
-  // --- scheduler/network rebinding (episode-partitioned replay) ----------
+  // --- scheduler/network rebinding (partitioned replay) ----------
   /// Tear down any still-live sessions before the transport goes away: the
   /// peers behind them are unreachable once detached, and a stale secure
   /// entry would wedge the next handshake on that transport id. Secure
@@ -58,7 +58,7 @@ class AdHocManager {
   /// layer runs its usual drop cleanup — adaptive verify flush included);
   /// half-open handshakes are discarded silently. The resumption cache and
   /// hints survive, which is what lets the next contact resume. No-op at a
-  /// quiescent point (episode boundaries, where every contact has ended).
+  /// quiescent point (shard boundaries, where every contact has ended).
   void drop_live_sessions();
   /// Unhook from the current endpoint and scheduler. All soft state —
   /// sessions, resumption cache, verify cache, the advertised dictionary —

@@ -36,7 +36,7 @@ class RoutingManager {
   /// Kick off periodic maintenance (store expiry + advertisement refresh).
   void start(util::SimTime maintenance_interval = 600.0);
 
-  // --- scheduler rebinding (episode-partitioned replay) -------------------
+  // --- scheduler rebinding (partitioned replay) -------------------
   /// Cancel the pending maintenance tick / summary push on the current
   /// scheduler, remembering their absolute deadlines.
   void detach();

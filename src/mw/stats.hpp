@@ -39,6 +39,8 @@ struct NodeStats {
   // app layer
   std::uint64_t published = 0;
   std::uint64_t reboots = 0;  // power cycles (fault-injection churn)
+
+  bool operator==(const NodeStats&) const = default;
 };
 
 }  // namespace sos::mw

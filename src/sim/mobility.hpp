@@ -120,7 +120,7 @@ struct DailyRoutineParams {
   /// clustered near the cell center) and home cluster. Nodes are assigned
   /// round-robin (node i -> community i mod K), so membership is balanced.
   /// Contacts then happen almost exclusively inside a community, which is
-  /// what lets the episode partitioner run communities concurrently.
+  /// what lets the contact-strand DAG run communities concurrently.
   std::size_t community_count = 1;
   /// Fraction of nodes that commute: a bridge node keeps its home but
   /// attends community (base + day) mod K on day `day`, carrying bundles
@@ -146,7 +146,7 @@ struct DailyRoutineParams {
   /// Two homes inside radio range form a pair that stays connected all
   /// night, every night — one de-facto household, not two users — and such
   /// pairs chain a community's days into one causal span, which is what
-  /// collapses episode parallelism. Set it to a few radio ranges for
+  /// collapses strand parallelism. Set it to a few radio ranges for
   /// community cells meant to decompose. 0 keeps the classic unconstrained
   /// placement (and the classic RNG stream).
   double home_min_separation_m = 0.0;

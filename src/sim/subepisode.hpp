@@ -1,40 +1,38 @@
-// ContactDag: the sub-episode analysis pass behind strand-level parallel
-// replay. EpisodeGraph (sim/episode.hpp) fuses a node's overlapping episode
-// windows because an episode holds every member until its *global* end —
-// which chains a dense single-hotspot day into one serial episode. But the
-// recorded trace is a conservative-lookahead oracle: every node's next
-// incoming contact time is known before replay starts (Chandy–Misra–Bryant
-// null messages without the protocol), so inside one episode each node's
-// timeline can be cut into "strands" between its consecutive contacts and
-// released the moment its last contact in a task ends.
+// ContactDag: the analysis pass behind strand-level parallel replay. A
+// partition that held every member of a task until the task's *global* end
+// would have to fuse a node's overlapping task windows — which chains a
+// dense single-hotspot day into one serial task. But the recorded trace is
+// a conservative-lookahead oracle: every node's next incoming contact time
+// is known before replay starts (Chandy–Misra–Bryant null messages without
+// the protocol), so each node's timeline can be cut into "strands" between
+// its consecutive contacts and released the moment its last contact in a
+// task ends.
 //
 // Construction keeps only the mandatory fusion:
 //
 //   1. Contacts that share a node and overlap (or touch) in time are fused —
-//      their events interleave on the shared node and cannot be split. This
-//      is exactly EpisodeGraph's step 1.
+//      their events interleave on the shared node and cannot be split.
 //   1b. Clusters whose *per-node hulls* overlap fuse to a fixpoint: step-1
 //      fusion is transitive through other nodes, so a node's contacts
 //      within one cluster need not be contiguous, and a cluster sitting in
 //      that hull's gap would need the node while the first cluster still
-//      holds it. This replaces EpisodeGraph's step 2, which fuses on
-//      cluster *global-span* overlap — far coarser: here a task whose span
-//      nests inside another's stays separate as long as every shared node's
-//      own windows are disjoint, because the engine detaches each member at
-//      its strand end (ContactStrand::last_end), not at the task's global
-//      end. Pending timers re-arm on the node's next shard at their
-//      original absolute deadlines.
+//      holds it. Fusing on cluster *global-span* overlap instead would be
+//      far coarser: here a task whose span nests inside another's stays
+//      separate as long as every shared node's own windows are disjoint,
+//      because the engine detaches each member at its strand end
+//      (ContactStrand::last_end), not at the task's global end. Pending
+//      timers re-arm on the node's next shard at their original absolute
+//      deadlines.
 //   1c. Cycles in the resulting per-node ordering fuse to a fixpoint:
 //      cluster A can hold node X before B while B holds node Y before A
 //      (mutual entanglement) even with disjoint hulls everywhere, and then
 //      no execution order exists. Such strongly-connected components always
-//      sit inside one episode (their global spans overlap, so EpisodeGraph's
-//      step 2 fuses a superset), keeping the DAG a strict refinement of the
-//      episode partition.
+//      have overlapping global spans at a shared node, so the fused task is
+//      never larger than a global-span fusion would make it.
 //   2. Task B depends on task A when they share a node whose A-strand
 //      precedes its B-strand (middleware state handoff through the
-//      SosNode detach/attach seam), so per-node chaining subsumes the
-//      episode DAG's ordering edges.
+//      SosNode detach/attach seam); per-node chaining is the DAG's entire
+//      ordering.
 //
 // One trailing "tail" task (no contacts) covers every node's timeline from
 // its last contact to the horizon. Tasks are indexed in trace order, which
@@ -87,18 +85,15 @@ class ContactDag {
 
   /// Sum over the longest dependency chain of per-task contact counts,
   /// divided into the total: the parallel speedup ceiling this trace admits
-  /// under strand partitioning (1.0 = fully sequential). Always >= the
-  /// EpisodeGraph ceiling for the same trace: dropping span fusion only
-  /// removes edges.
+  /// under strand partitioning (1.0 = fully sequential).
   double parallelism() const;
 
   /// Maximum number of contact tasks whose [first_start, last_end] spans are
   /// open at one instant (ends close before starts at equal timestamps; the
   /// tail is excluded). Unlike parallelism(), this measures sim-time
-  /// concurrency — the hotspot-cell signature is width > 1 with episode
-  /// parallelism ~1: independent overnight home-pair tasks overlap each
-  /// other (and the daily hotspot megatask's span) without lying on one
-  /// critical path.
+  /// concurrency — in the hotspot cells independent overnight home-pair
+  /// tasks overlap each other (and the daily hotspot megatask's span)
+  /// without lying on one critical path.
   std::size_t width() const;
 
  private:

@@ -1,6 +1,6 @@
 // Month-scale soak driver: replays a recorded world segment by segment on a
 // deploy::ReplaySession, snapshotting fleet metrics at a fixed sim-time
-// cadence, checkpointing at quiescent episode boundaries, and halting on
+// cadence, checkpointing at quiescent cuts, and halting on
 // stop conditions (horizon, wall-clock budget, metric predicates) or on a
 // rolling-window anomaly. Segmented execution is bitwise identical to an
 // uninterrupted replay, so anything the soak flags is a real time-scale bug,

@@ -4,6 +4,10 @@
 // on a shortened Gainesville run).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "deploy/oracle.hpp"
 #include "deploy/report.hpp"
 #include "deploy/scenario.hpp"
@@ -74,6 +78,29 @@ TEST(Oracle, SubscriptionWithNoPostsIsExcluded) {
   EXPECT_EQ(o.subscription_ratio_cdf(false).count(), 0u);
 }
 
+TEST(Oracle, AppendMovesRecordsInOrder) {
+  sd::MetricsOracle merged = tiny_oracle();
+  sd::MetricsOracle more;
+  more.record_post({{uid("pub"), 3}, uid("pub"), su::hours(3), {300, 300}});
+  more.record_delivery({{uid("pub"), 3}, uid("s1"), su::hours(4), 2, {40, 40}});
+  more.record_carry({{uid("pub"), 3}, uid("relay"), su::hours(3.5), {50, 50}});
+  merged.append(std::move(more));
+  ASSERT_EQ(merged.post_count(), 3u);
+  ASSERT_EQ(merged.delivery_count(), 4u);
+  ASSERT_EQ(merged.carry_count(), 1u);
+  EXPECT_EQ(merged.posts().back().id.msg_num, 3u);
+  EXPECT_EQ(merged.deliveries().back().hops, 2);
+  EXPECT_EQ(merged.deliveries().front().at, su::hours(2));  // existing records stay first
+  EXPECT_EQ(merged.subscription_count(), 2u);               // subscriptions untouched
+  EXPECT_EQ(more.post_count() + more.delivery_count() + more.carry_count(), 0u);
+
+  // Into an empty oracle the lists move wholesale.
+  sd::MetricsOracle empty;
+  empty.append(tiny_oracle());
+  EXPECT_EQ(empty.post_count(), 2u);
+  EXPECT_EQ(empty.delivery_count(), 3u);
+}
+
 TEST(Oracle, ActivityMaps) {
   auto o = tiny_oracle();
   auto blue = o.creation_map(1000, 1000, 10, 10);
@@ -102,7 +129,46 @@ sd::ScenarioConfig short_config(const std::string& scheme, std::uint64_t seed = 
   config.total_posts_target = 80.0;
   return config;
 }
+
+/// Bitwise comparison of two runs: every wire counter, every NodeStats
+/// counter, and each delivery record including its hop count.
+void expect_same_run(const sd::ScenarioResult& a, const sd::ScenarioResult& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.contacts, b.contacts) << what;
+  EXPECT_EQ(a.wire_frames, b.wire_frames) << what;
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes) << what;
+  EXPECT_EQ(a.connections, b.connections) << what;
+  EXPECT_EQ(a.connections_failed, b.connections_failed) << what;
+  EXPECT_EQ(a.frames_lost, b.frames_lost) << what;
+  EXPECT_EQ(a.frames_dropped_fault, b.frames_dropped_fault) << what;
+  EXPECT_TRUE(a.totals == b.totals) << what << ": NodeStats totals differ";
+  EXPECT_EQ(a.oracle.post_count(), b.oracle.post_count()) << what;
+  EXPECT_EQ(a.oracle.carry_count(), b.oracle.carry_count()) << what;
+  ASSERT_EQ(a.oracle.delivery_count(), b.oracle.delivery_count()) << what;
+  for (std::size_t i = 0; i < a.oracle.delivery_count(); ++i) {
+    const sd::DeliveryRecord& x = a.oracle.deliveries()[i];
+    const sd::DeliveryRecord& y = b.oracle.deliveries()[i];
+    EXPECT_TRUE(x.id == y.id && x.subscriber == y.subscriber && x.at == y.at &&
+                x.hops == y.hops)
+        << what << ": delivery " << i << " differs";
+  }
+}
 }  // namespace
+
+TEST(Scenario, RunWithoutWorldEqualsRecordThenReplay) {
+  // The contract of run_scenario(config): it records the world and replays
+  // it, so it is bitwise identical to an explicit record_world + replay —
+  // hop counts and wire bytes included.
+  const std::vector<sd::ScenarioConfig> configs = {
+      short_config("interest", 42), short_config("prophet", 42), short_config("spray", 1),
+      sd::gainesville_config()};
+  for (const sd::ScenarioConfig& config : configs) {
+    const std::string what = config.scheme + " seed " + std::to_string(config.seed) + ", " +
+                             std::to_string(static_cast<int>(config.days)) + " days";
+    auto world = sd::record_world(config);
+    expect_same_run(sd::run_scenario(config), sd::run_scenario(config, world.get()), what);
+  }
+}
 
 TEST(Scenario, ProducesTrafficAndDeliveries) {
   auto result = sd::run_scenario(short_config("interest"));

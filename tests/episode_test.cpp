@@ -1,10 +1,10 @@
-// Partitioned replay suite (`ctest -L sweep`): the EpisodeGraph and
-// ContactDag partition invariants, the determinism pins the engines' whole
-// value rests on — episode replay AND sub-episode strand replay at any
-// worker count are bitwise identical to the single-scheduler replay — and
-// the cross-segment state handoffs (a bundle picked up in episode k is
-// delivered in episode k+1, and a bundle crosses three contact strands
-// inside one episode, through the SosNode detach/attach seam).
+// Partitioned replay suite (`ctest -L sweep`): the ContactDag partition
+// invariants, the determinism pin the strand engine's whole value rests on —
+// contact-strand replay at any worker count is bitwise identical to the mono
+// replay (one task per segment) — and the cross-task state handoffs (a
+// bundle picked up in task k is delivered in task k+1, and a bundle crosses
+// three contact strands nested inside one long contact, through the SosNode
+// detach/attach seam).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 
 #include "deploy/replay.hpp"
 #include "deploy/sweep.hpp"
-#include "sim/episode.hpp"
 #include "sim/mobility.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/subepisode.hpp"
@@ -66,117 +65,31 @@ Fingerprint fingerprint(const sd::ScenarioResult& r) {
 
 }  // namespace
 
-// --- EpisodeGraph partition invariants --------------------------------------
+// --- ContactDag partition invariants ----------------------------------------
 
-TEST(EpisodeGraph, OverlappingContactsSharingANodeFuse) {
+TEST(ContactDag, OverlappingContactsSharingANodeFuse) {
   // (0,1) and (1,2) overlap at node 1: their events interleave on node 1's
   // timeline, so they must live on one scheduler shard.
   auto trace = make_trace({{0, 100, 0, 1}, {50, 150, 1, 2}});
-  auto graph = ss::EpisodeGraph::partition(trace, 4, 1000);
-  ASSERT_EQ(graph.contact_episode_count(), 1u);
-  const ss::Episode& e = graph.episodes()[0];
-  EXPECT_EQ(e.nodes, (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_EQ(e.contacts.size(), 2u);
-  EXPECT_DOUBLE_EQ(e.first_start, 0.0);
-  EXPECT_DOUBLE_EQ(e.last_end, 150.0);
+  auto dag = ss::ContactDag::partition(trace, 4, 1000);
+  ASSERT_EQ(dag.contact_task_count(), 1u);
+  const ss::ContactTask& t = dag.tasks()[0];
+  ASSERT_EQ(t.strands.size(), 3u);
+  EXPECT_EQ(t.strands[0].node, 0u);
+  EXPECT_EQ(t.strands[1].node, 1u);
+  EXPECT_EQ(t.strands[2].node, 2u);
+  EXPECT_EQ(t.contacts.size(), 2u);
+  EXPECT_DOUBLE_EQ(t.first_start, 0.0);
+  EXPECT_DOUBLE_EQ(t.last_end, 150.0);
 }
 
-TEST(EpisodeGraph, ConcurrentDisjointPairsStayParallel) {
-  // (0,1) and (2,3) overlap in time but share no node: independent episodes.
-  auto trace = make_trace({{0, 100, 0, 1}, {10, 90, 2, 3}});
-  auto graph = ss::EpisodeGraph::partition(trace, 4, 1000);
-  ASSERT_EQ(graph.contact_episode_count(), 2u);
-  EXPECT_TRUE(graph.episodes()[0].deps.empty());
-  EXPECT_TRUE(graph.episodes()[1].deps.empty());
-  EXPECT_GT(graph.parallelism(), 1.5);
-}
-
-TEST(EpisodeGraph, SequentialContactsOfANodeChainViaDeps) {
-  // Node 1 meets node 0, then later node 2: two episodes, the second
-  // depending on the first (node 1's state is handed across the seam).
-  auto trace = make_trace({{0, 100, 0, 1}, {200, 300, 1, 2}});
-  auto graph = ss::EpisodeGraph::partition(trace, 3, 1000);
-  ASSERT_EQ(graph.contact_episode_count(), 2u);
-  EXPECT_TRUE(graph.episodes()[0].deps.empty());
-  EXPECT_EQ(graph.episodes()[1].deps, (std::vector<std::size_t>{0}));
-}
-
-TEST(EpisodeGraph, NodeWindowOverlapFusesClusters) {
+TEST(ContactDag, SpanOverlapAloneDoesNotFuse) {
   // Cluster A spans [0, 100] through (2,3); node 1's second contact starts
   // at t=50, inside A's span, while its first contact (in A) ended at 30.
-  // Node 1 cannot be attached to two schedulers over [50, 100], so the
-  // clusters must fuse even though no two contacts overlap at a shared node.
+  // (0,1)@[50,60] overlaps no contact at a shared node, and node 1 detaches
+  // at t=30 — well before its next contact at 50 — so the trace splits into
+  // TWO strand tasks.
   auto trace = make_trace({{0, 30, 1, 2}, {20, 100, 2, 3}, {50, 60, 0, 1}});
-  auto graph = ss::EpisodeGraph::partition(trace, 4, 1000);
-  EXPECT_EQ(graph.contact_episode_count(), 1u);
-  EXPECT_EQ(graph.episodes()[0].nodes, (std::vector<std::uint32_t>{0, 1, 2, 3}));
-}
-
-TEST(EpisodeGraph, TailEpisodeCoversEveryNode) {
-  auto trace = make_trace({{0, 100, 0, 1}});
-  auto graph = ss::EpisodeGraph::partition(trace, 5, 1000);
-  ASSERT_EQ(graph.episodes().size(), graph.contact_episode_count() + 1);
-  const ss::Episode& tail = graph.episodes().back();
-  EXPECT_EQ(tail.nodes.size(), 5u);  // idle nodes 2..4 included
-  EXPECT_TRUE(tail.contacts.empty());
-  EXPECT_DOUBLE_EQ(tail.last_end, 1000.0);
-  EXPECT_EQ(tail.deps, (std::vector<std::size_t>{0}));
-}
-
-TEST(EpisodeGraph, EveryNodeTimelineIsCoveredExactlyOncePerStep) {
-  // Random-ish structured trace: each contact appears in exactly one
-  // episode, and each node's episode windows are disjoint and ordered.
-  su::Rng rng(7);
-  std::vector<ss::ContactInterval> contacts;
-  for (int i = 0; i < 200; ++i) {
-    double start = rng.uniform(0, 5000);
-    std::uint32_t a = static_cast<std::uint32_t>(rng.below(12));
-    std::uint32_t b = static_cast<std::uint32_t>(rng.below(12));
-    if (a == b) continue;
-    contacts.push_back({start, start + rng.uniform(10, 400), a, b});
-  }
-  auto trace = make_trace(contacts);
-  auto graph = ss::EpisodeGraph::partition(trace, 12, 6000);
-
-  std::set<std::size_t> seen;
-  for (const auto& e : graph.episodes()) {
-    for (std::size_t ci : e.contacts) EXPECT_TRUE(seen.insert(ci).second);
-  }
-  EXPECT_EQ(seen.size(), trace.size());
-
-  // Per node: windows (first contact start .. episode global end) of its
-  // episodes, in dependency order, never overlap.
-  for (std::uint32_t node = 0; node < 12; ++node) {
-    std::vector<std::pair<double, double>> windows;  // (node first start, end)
-    for (const auto& e : graph.episodes()) {
-      if (e.contacts.empty()) continue;
-      double first = -1;
-      for (std::size_t ci : e.contacts) {
-        const auto& c = trace.contacts()[ci];
-        if (c.a == node || c.b == node) {
-          if (first < 0 || c.start < first) first = c.start;
-        }
-      }
-      if (first >= 0) windows.push_back({first, e.last_end});
-    }
-    std::sort(windows.begin(), windows.end());
-    for (std::size_t i = 1; i < windows.size(); ++i) {
-      EXPECT_GE(windows[i].first, windows[i - 1].second)
-          << "node " << node << " window " << i << " starts inside the previous episode";
-    }
-  }
-}
-
-// --- ContactDag (sub-episode) partition invariants ---------------------------
-
-TEST(ContactDag, SpanFusionIsDroppedButOverlapFusionStays) {
-  // The exact trace EpisodeGraph.NodeWindowOverlapFusesClusters must fuse
-  // into ONE episode splits into TWO strand tasks: (0,1)@[50,60] overlaps
-  // no contact at a shared node, and node 1 detaches at t=30 — well before
-  // its next contact at 50 — so span overlap alone forces nothing.
-  auto trace = make_trace({{0, 30, 1, 2}, {20, 100, 2, 3}, {50, 60, 0, 1}});
-  auto graph = ss::EpisodeGraph::partition(trace, 4, 1000);
-  EXPECT_EQ(graph.contact_episode_count(), 1u);
   auto dag = ss::ContactDag::partition(trace, 4, 1000);
   ASSERT_EQ(dag.contact_task_count(), 2u);
   const ss::ContactTask& a = dag.tasks()[0];
@@ -189,8 +102,7 @@ TEST(ContactDag, SpanFusionIsDroppedButOverlapFusionStays) {
   EXPECT_EQ(a.strands[0].node, 1u);
   EXPECT_DOUBLE_EQ(a.strands[0].last_end, 30.0);
   EXPECT_EQ(b.deps, (std::vector<std::size_t>{0}));
-  // The two spans still overlap in sim time — concurrency the episode
-  // engine cannot see (its parallelism here is exactly 1.0).
+  // The two spans still overlap in sim time.
   EXPECT_EQ(dag.width(), 2u);
 }
 
@@ -206,20 +118,22 @@ TEST(ContactDag, TouchingContactsSharingANodeFuse) {
 TEST(ContactDag, SequentialContactsChainAndConcurrentPairsStayParallel) {
   // Node 1 meets 0 then 2 (chained through node 1's strand sequence);
   // (3,4) overlaps both in time but shares no node, so it rides a third,
-  // independent task.
+  // independent task. Node 5 never meets anyone.
   auto trace = make_trace({{0, 100, 0, 1}, {200, 300, 1, 2}, {50, 250, 3, 4}});
-  auto dag = ss::ContactDag::partition(trace, 5, 1000);
+  auto dag = ss::ContactDag::partition(trace, 6, 1000);
   ASSERT_EQ(dag.contact_task_count(), 3u);
   EXPECT_TRUE(dag.tasks()[0].deps.empty());
   EXPECT_EQ(dag.tasks()[1].deps, (std::vector<std::size_t>{0}));
   EXPECT_TRUE(dag.tasks()[2].deps.empty());
   EXPECT_EQ(dag.width(), 2u);
   EXPECT_DOUBLE_EQ(dag.parallelism(), 1.5);  // 3 contacts / chain of 2
-  // The tail covers every node's idle run-out and follows each node's last
-  // contact task.
+  // The tail covers every node's idle run-out, the idle node included, runs
+  // each of them to the horizon and follows each node's last contact task.
+  ASSERT_EQ(dag.tasks().size(), dag.contact_task_count() + 1);
   const ss::ContactTask& tail = dag.tasks().back();
   EXPECT_TRUE(tail.contacts.empty());
-  EXPECT_EQ(tail.strands.size(), 5u);
+  ASSERT_EQ(tail.strands.size(), 6u);
+  for (const ss::ContactStrand& s : tail.strands) EXPECT_DOUBLE_EQ(s.last_end, 1000.0);
   EXPECT_DOUBLE_EQ(tail.last_end, 1000.0);
   EXPECT_EQ(tail.deps, (std::vector<std::size_t>{0, 1, 2}));
 }
@@ -277,23 +191,21 @@ std::vector<sd::ScenarioConfig> determinism_configs() {
 
 }  // namespace
 
-TEST(EpisodeReplay, BitwiseIdenticalToSingleSchedulerAtAnyWorkerCount) {
+TEST(SubepisodeReplay, BitwiseIdenticalToMonoAtAnyWorkerCount) {
   for (const sd::ScenarioConfig& config : determinism_configs()) {
     auto world = sd::record_world(config);
     ASSERT_GT(world->trace.size(), 0u);
-    auto single = fingerprint(sd::run_scenario(config, world.get()));
-    auto ep1 = fingerprint(
-        sd::run_scenario(config, world.get(), {.partition = true, .jobs = 1}));
-    auto ep4 = fingerprint(
-        sd::run_scenario(config, world.get(), {.partition = true, .jobs = 4}));
-    EXPECT_EQ(single, ep1) << config.scheme << " seed " << config.seed;
-    EXPECT_EQ(single, ep4) << config.scheme << " seed " << config.seed;
+    auto mono = fingerprint(sd::run_scenario(config, world.get()));
+    auto strand1 = fingerprint(sd::run_scenario(config, world.get(), {.subepisode_jobs = 1}));
+    auto strand4 = fingerprint(sd::run_scenario(config, world.get(), {.subepisode_jobs = 4}));
+    EXPECT_EQ(mono, strand1) << config.scheme << " seed " << config.seed;
+    EXPECT_EQ(mono, strand4) << config.scheme << " seed " << config.seed;
     // The workload exercised the stack.
-    EXPECT_GT(single.posts, 0u);
+    EXPECT_GT(mono.posts, 0u);
   }
 }
 
-TEST(EpisodeReplay, SharedVerifyMemoDoesNotChangeMetrics) {
+TEST(MonoReplay, SharedVerifyMemoDoesNotChangeMetrics) {
   sd::ScenarioConfig config = sd::gainesville_config("epidemic", su::derive_seed(13, 0));
   config.nodes = 14;
   config.area_w_m = 2000;
@@ -312,10 +224,9 @@ TEST(EpisodeReplay, SharedVerifyMemoDoesNotChangeMetrics) {
   EXPECT_GT(with_memo.cache_misses, 0u);
 }
 
-TEST(EpisodeReplay, SweepRunnerEpisodeJobsMatchesSingleScheduler) {
-  // The sweep-level integration: episode_jobs / subepisode_jobs toggle the
-  // engine per cell (with the nested worker budget); the grid's metrics
-  // must not move on either.
+TEST(SubepisodeReplay, SweepRunnerSubepisodeJobsMatchesMono) {
+  // The sweep-level integration: subepisode_jobs toggles the strand DAG per
+  // cell (with the nested worker budget); the grid's metrics must not move.
   auto grid_cell = [] {
     sd::SweepCell cell;
     cell.label = "eq";
@@ -326,26 +237,20 @@ TEST(EpisodeReplay, SweepRunnerEpisodeJobsMatchesSingleScheduler) {
                      {"epidemic", "epidemic", 86400.0, 0.0, false}};
     return cell;
   };
-  sd::SweepOptions single_opts;
-  single_opts.jobs = 2;
-  auto baseline = sd::SweepRunner(single_opts).run({grid_cell()});
-  sd::SweepOptions episode_opts;
-  episode_opts.jobs = 2;
-  episode_opts.episode_jobs = 2;
-  auto sharded = sd::SweepRunner(episode_opts).run({grid_cell()});
-  sd::SweepOptions strand_opts;
-  strand_opts.jobs = 2;
-  strand_opts.subepisode_jobs = 2;
-  auto stranded = sd::SweepRunner(strand_opts).run({grid_cell()});
-  ASSERT_EQ(baseline.size(), sharded.size());
-  ASSERT_EQ(baseline.size(), stranded.size());
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_EQ(fingerprint(baseline[i].result), fingerprint(sharded[i].result))
-        << baseline[i].label;
-    EXPECT_EQ(fingerprint(baseline[i].result), fingerprint(stranded[i].result))
-        << baseline[i].label << " (strand engine)";
-    EXPECT_EQ(baseline[i].config.seed, stranded[i].config.seed);
-    EXPECT_EQ(baseline[i].config.seed, sharded[i].config.seed);
+  sd::SweepOptions mono_opts;
+  mono_opts.jobs = 2;
+  auto baseline = sd::SweepRunner(mono_opts).run({grid_cell()});
+  for (std::size_t strand_jobs : {std::size_t{2}, std::size_t{4}}) {
+    sd::SweepOptions strand_opts;
+    strand_opts.jobs = 2;
+    strand_opts.subepisode_jobs = strand_jobs;
+    auto stranded = sd::SweepRunner(strand_opts).run({grid_cell()});
+    ASSERT_EQ(baseline.size(), stranded.size());
+    for (std::size_t i = 0; i < baseline.size(); ++i) {
+      EXPECT_EQ(fingerprint(baseline[i].result), fingerprint(stranded[i].result))
+          << baseline[i].label << " (strand jobs " << strand_jobs << ")";
+      EXPECT_EQ(baseline[i].config.seed, stranded[i].config.seed);
+    }
   }
 }
 
@@ -353,13 +258,12 @@ TEST(EpisodeReplay, SweepRunnerEpisodeJobsMatchesSingleScheduler) {
 
 namespace {
 
-/// Worker counts to sweep per sampled world, per engine: SOS_EPISODE_JOBS
-/// (episode engine) / SOS_SUBEPISODE_JOBS (strand engine), when numeric,
-/// join the set, so `run_benches.sh --check` can push the TSan run to a
-/// specific worker count without editing the test.
-std::vector<std::size_t> harness_jobs(const char* env_var) {
+/// Strand worker counts to sweep per sampled world: SOS_SUBEPISODE_JOBS,
+/// when numeric, joins the set, so `run_benches.sh --check` can push the
+/// TSan run to a specific worker count without editing the test.
+std::vector<std::size_t> harness_jobs() {
   std::vector<std::size_t> jobs{1, 2, 4};
-  if (const char* env = std::getenv(env_var)) {
+  if (const char* env = std::getenv("SOS_SUBEPISODE_JOBS")) {
     char* end = nullptr;
     long v = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && v > 0 &&
@@ -370,51 +274,8 @@ std::vector<std::size_t> harness_jobs(const char* env_var) {
   return jobs;
 }
 
-/// The structural invariants every partition must satisfy, checked on an
-/// arbitrary sampled trace: complete coverage (each contact in exactly one
-/// episode), disjoint concurrency (a node's contact-episode windows tile
-/// its timeline without overlap, so it is never attached to two schedulers
-/// at once), and tail coverage (the final contact-free episode runs every
-/// node out to the horizon).
-void check_partition_invariants(const ss::ContactTrace& trace, const ss::EpisodeGraph& graph,
-                                std::size_t nodes, double horizon) {
-  std::set<std::size_t> seen;
-  for (const auto& e : graph.episodes()) {
-    for (std::size_t ci : e.contacts) {
-      EXPECT_TRUE(seen.insert(ci).second) << "contact " << ci << " in two episodes";
-    }
-  }
-  EXPECT_EQ(seen.size(), trace.size());
-
-  ASSERT_FALSE(graph.episodes().empty());
-  const ss::Episode& tail = graph.episodes().back();
-  EXPECT_TRUE(tail.contacts.empty());
-  EXPECT_EQ(tail.nodes.size(), nodes);
-  EXPECT_DOUBLE_EQ(tail.last_end, horizon);
-
-  for (std::uint32_t node = 0; node < nodes; ++node) {
-    std::vector<std::pair<double, double>> windows;  // (node first start, episode end)
-    for (const auto& e : graph.episodes()) {
-      if (e.contacts.empty()) continue;
-      double first = -1;
-      for (std::size_t ci : e.contacts) {
-        const auto& c = trace.contacts()[ci];
-        if (c.a == node || c.b == node) {
-          if (first < 0 || c.start < first) first = c.start;
-        }
-      }
-      if (first >= 0) windows.push_back({first, e.last_end});
-    }
-    std::sort(windows.begin(), windows.end());
-    for (std::size_t i = 1; i < windows.size(); ++i) {
-      EXPECT_GE(windows[i].first, windows[i - 1].second)
-          << "node " << node << " attached to two overlapping episodes";
-    }
-  }
-}
-
-/// The sub-episode analogue, checked on the same sampled traces: complete
-/// coverage, strands that hull their node's contacts, strictly disjoint
+/// The structural invariants every ContactDag must satisfy, checked on an
+/// arbitrary trace: complete coverage, strands that hull their node's contacts, strictly disjoint
 /// per-node strand windows (touching contacts fuse, so the engine's detach
 /// point always precedes the next attach with a real gap), a direct chain
 /// dep between each node's consecutive tasks (per-node chaining is the
@@ -492,16 +353,31 @@ void check_contactdag_invariants(const ss::ContactTrace& trace, const ss::Contac
 
 }  // namespace
 
+TEST(ContactDag, RandomTraceSatisfiesPartitionInvariants) {
+  // Random-ish structured trace: each contact lands in exactly one task,
+  // each node's strand windows are strictly disjoint and chained, and the
+  // tail runs every node out to the horizon.
+  su::Rng rng(7);
+  std::vector<ss::ContactInterval> contacts;
+  for (int i = 0; i < 200; ++i) {
+    double start = rng.uniform(0, 5000);
+    std::uint32_t a = static_cast<std::uint32_t>(rng.below(12));
+    std::uint32_t b = static_cast<std::uint32_t>(rng.below(12));
+    if (a == b) continue;
+    contacts.push_back({start, start + rng.uniform(10, 400), a, b});
+  }
+  auto trace = make_trace(contacts);
+  check_contactdag_invariants(trace, ss::ContactDag::partition(trace, 12, 6000), 12, 6000);
+}
+
 TEST(RandomizedDeterminism, MultiCommunityWorldsAreBitwiseIdenticalAcrossEngines) {
   // ~50 random worlds across the community knob space (1-4 communities,
   // 0-30% bridge commuters, mixed schemes/windows, seeds via derive_seed):
-  // every sampled trace must satisfy the partition invariants of BOTH
-  // granularities, and episode replay AND sub-episode strand replay must be
-  // bitwise identical to the single-scheduler replay at every worker count.
-  // This is the pin that lets the community mobility subsystem ride the
-  // parallel engines without a determinism leap of faith.
-  const std::vector<std::size_t> jobs = harness_jobs("SOS_EPISODE_JOBS");
-  const std::vector<std::size_t> strand_jobs = harness_jobs("SOS_SUBEPISODE_JOBS");
+  // every sampled trace must satisfy the ContactDag invariants, and strand
+  // replay must be bitwise identical to the mono replay at every worker
+  // count. This is the pin that lets the community mobility subsystem ride
+  // the parallel engine without a determinism leap of faith.
+  const std::vector<std::size_t> strand_jobs = harness_jobs();
   const char* schemes[] = {"interest", "epidemic", "prophet"};
   const int kWorlds = 50;
   std::size_t total_contacts = 0, total_posts = 0, total_deliveries = 0;
@@ -517,7 +393,7 @@ TEST(RandomizedDeterminism, MultiCommunityWorldsAreBitwiseIdenticalAcrossEngines
     config.area_h_m = 1200.0 + pick.uniform(0.0, 1800.0);
     // 1.5 days: evening posts meet the next morning's encounters, so
     // deliveries (and their middleware state) routinely cross the day
-    // boundary — the episode-handoff case the engine exists for.
+    // boundary — the cross-task handoff case the engine exists for.
     config.days = 1.5;
     config.total_posts_target = 4.0 * static_cast<double>(config.nodes);
     if (w % 5 == 0) {
@@ -526,34 +402,22 @@ TEST(RandomizedDeterminism, MultiCommunityWorldsAreBitwiseIdenticalAcrossEngines
     }
 
     auto world = sd::record_world(config);
-    auto graph =
-        ss::EpisodeGraph::partition(world->trace, config.nodes, su::days(config.days));
-    check_partition_invariants(world->trace, graph, config.nodes, su::days(config.days));
     auto dag =
         ss::ContactDag::partition(world->trace, config.nodes, su::days(config.days));
     check_contactdag_invariants(world->trace, dag, config.nodes, su::days(config.days));
-    // Dropping span fusion only removes ordering edges.
-    EXPECT_GE(dag.parallelism() + 1e-9, graph.parallelism()) << "world " << w;
 
-    const Fingerprint single = fingerprint(sd::run_scenario(config, world.get()));
-    for (std::size_t j : jobs) {
-      const Fingerprint episodes = fingerprint(
-          sd::run_scenario(config, world.get(), {.partition = true, .jobs = j}));
-      EXPECT_EQ(single, episodes)
-          << "world " << w << " (" << config.scheme << ", " << config.communities
-          << " communities, seed " << config.seed << ") diverged at jobs " << j;
-    }
+    const Fingerprint mono = fingerprint(sd::run_scenario(config, world.get()));
     for (std::size_t j : strand_jobs) {
       const Fingerprint strands =
           fingerprint(sd::run_scenario(config, world.get(), {.subepisode_jobs = j}));
-      EXPECT_EQ(single, strands)
+      EXPECT_EQ(mono, strands)
           << "world " << w << " (" << config.scheme << ", " << config.communities
           << " communities, seed " << config.seed
           << ") diverged on the strand engine at jobs " << j;
     }
     total_contacts += world->trace.size();
-    total_posts += single.posts;
-    total_deliveries += single.deliveries;
+    total_posts += mono.posts;
+    total_deliveries += mono.deliveries;
   }
   // The sampled population exercised the full stack, not 50 empty worlds.
   EXPECT_GT(total_contacts, 500u);
@@ -563,9 +427,9 @@ TEST(RandomizedDeterminism, MultiCommunityWorldsAreBitwiseIdenticalAcrossEngines
 
 TEST(RandomizedDeterminism, CommunityDensityCellReachesParallelismCeiling) {
   // The acceptance bar for the community-structured ablation cell: its
-  // recorded trace must decompose to a conservative parallelism ceiling of
-  // at least 2 (the single-hotspot cells sit at ~1.0), so episode workers
-  // have real concurrency to exploit on multi-core hosts.
+  // recorded trace must decompose to a strand-DAG parallelism ceiling of at
+  // least 2, so strand workers have real concurrency to exploit on
+  // multi-core hosts.
   auto grid = sd::density_ablation_grid(3.0);
   sd::SweepRunner runner{sd::SweepOptions{}};
   std::size_t idx = grid.size();
@@ -576,26 +440,19 @@ TEST(RandomizedDeterminism, CommunityDensityCellReachesParallelismCeiling) {
   sd::ScenarioConfig config = runner.cell_config(grid[idx], idx);
   EXPECT_EQ(config.communities, 4u);
   auto world = sd::record_world(config);
-  auto graph =
-      ss::EpisodeGraph::partition(world->trace, config.nodes, su::days(config.days));
-  check_partition_invariants(world->trace, graph, config.nodes, su::days(config.days));
-  EXPECT_GE(graph.parallelism(), 2.0);
-  EXPECT_GT(graph.contact_episode_count(), 8u);
-  // The strand-level decomposition of the same trace is strictly finer: at
-  // least as much critical-path headroom, and sim-time width for multiple
-  // workers to occupy.
   auto dag = ss::ContactDag::partition(world->trace, config.nodes, su::days(config.days));
   check_contactdag_invariants(world->trace, dag, config.nodes, su::days(config.days));
-  EXPECT_GE(dag.parallelism() + 1e-9, graph.parallelism());
+  EXPECT_GE(dag.parallelism(), 2.0);
+  EXPECT_GT(dag.contact_task_count(), 8u);
+  // ...and sim-time width for multiple workers to occupy.
   EXPECT_GE(dag.width(), 2u);
-  EXPECT_GT(dag.contact_task_count(), graph.contact_episode_count());
 }
 
 // --- cross-segment state handoff --------------------------------------------
 
-TEST(EpisodeReplay, BundleRelaysAcrossEpisodeBoundary) {
-  // Hand-built world: node 0 meets node 1 in the evening (episode k), node 1
-  // meets node 2 an hour later (episode k+1), node 2 follows node 0, and
+TEST(SubepisodeReplay, BundleRelaysAcrossTaskBoundary) {
+  // Hand-built world: node 0 meets node 1 in the evening (task k), node 1
+  // meets node 2 an hour later (task k+1), node 2 follows node 0, and
   // epidemic routing makes node 1 carry. Any delivery to node 2 proves the
   // bundle store survived the detach/attach seam between shards.
   sd::ScenarioConfig config = sd::gainesville_config("epidemic", 99);
@@ -608,7 +465,7 @@ TEST(EpisodeReplay, BundleRelaysAcrossEpisodeBoundary) {
 
   // Posting window is 18.5h-23.5h (66600..84600 s). Contacts after the
   // first posts: (0,1) at 70000..70600, (1,2) at 75000..75600. No (0,2)
-  // contact ever: delivery requires the cross-episode relay through 1.
+  // contact ever: delivery requires the cross-task relay through 1.
   std::vector<ss::Trajectory> parked(3);
   for (std::size_t i = 0; i < 3; ++i)
     parked[i].add(0.0, {100.0 * static_cast<double>(i), 0.0});
@@ -617,28 +474,26 @@ TEST(EpisodeReplay, BundleRelaysAcrossEpisodeBoundary) {
   ASSERT_TRUE(world.trace.add({70000, 70600, 0, 1}));
   ASSERT_TRUE(world.trace.add({75000, 75600, 1, 2}));
 
-  auto graph = ss::EpisodeGraph::partition(world.trace, 3, su::days(1.0));
-  ASSERT_EQ(graph.contact_episode_count(), 2u);  // the relay crosses a seam
-  EXPECT_EQ(graph.episodes()[1].deps, (std::vector<std::size_t>{0}));
+  auto dag = ss::ContactDag::partition(world.trace, 3, su::days(1.0));
+  ASSERT_EQ(dag.contact_task_count(), 2u);  // the relay crosses a seam
+  EXPECT_EQ(dag.tasks()[1].deps, (std::vector<std::size_t>{0}));
 
-  auto single = sd::run_scenario(config, &world);
-  auto episodes =
-      sd::run_scenario(config, &world, {.partition = true, .jobs = 2});
-  EXPECT_EQ(fingerprint(single), fingerprint(episodes));
-  // The bundle made it: picked up by node 1 in episode 0, delivered to
-  // node 2 in episode 1.
-  EXPECT_GT(episodes.oracle.delivery_count(), 0u);
-  EXPECT_GT(episodes.totals.bundles_carried, episodes.totals.deliveries);
+  auto mono = sd::run_scenario(config, &world);
+  auto strands = sd::run_scenario(config, &world, {.subepisode_jobs = 2});
+  EXPECT_EQ(fingerprint(mono), fingerprint(strands));
+  // The bundle made it: picked up by node 1 in task 0, delivered to node 2
+  // in task 1.
+  EXPECT_GT(strands.oracle.delivery_count(), 0u);
+  EXPECT_GT(strands.totals.bundles_carried, strands.totals.deliveries);
 }
 
-TEST(SubepisodeReplay, BundleRelaysAcrossThreeStrandsInsideOneEpisode) {
-  // The strand-engine counterpart of the episode-boundary relay: an
-  // "anchor" contact (0,6) spans the whole evening, so EpisodeGraph's span
-  // fusion folds the relay chain 0 -> 1 -> 2 -> 3 into ONE serial episode —
-  // the dense-hotspot shape the episode engine cannot split. ContactDag
-  // keeps the three relay hops as separate tasks chained through nodes 1
-  // and 2, so a bundle posted by node 0 must cross two detach/attach seams
-  // *inside* that episode to reach its subscriber on node 3.
+TEST(SubepisodeReplay, BundleRelaysAcrossThreeStrandsInsideOneAnchorSpan) {
+  // An "anchor" contact (0,6) spans the whole evening, so fusing on global
+  // task spans would fold the relay chain 0 -> 1 -> 2 -> 3 into ONE serial
+  // task — the dense-hotspot shape. ContactDag keeps the three relay hops as
+  // separate tasks chained through nodes 1 and 2, so a bundle posted by
+  // node 0 must cross two detach/attach seams *inside* the anchor's span to
+  // reach its subscriber on node 3.
   sd::ScenarioConfig config = sd::gainesville_config("epidemic", 99);
   config.nodes = 7;
   config.days = 1.0;
@@ -655,25 +510,23 @@ TEST(SubepisodeReplay, BundleRelaysAcrossThreeStrandsInsideOneEpisode) {
   sd::ScenarioWorld world{ss::TrajectoryMobility(std::move(parked)),
                           ss::ContactTrace{}};
   ASSERT_TRUE(world.trace.add({70000, 70600, 0, 1}));
-  ASSERT_TRUE(world.trace.add({70300, 76000, 0, 6}));  // the episode anchor
+  ASSERT_TRUE(world.trace.add({70300, 76000, 0, 6}));  // the anchor
   ASSERT_TRUE(world.trace.add({72000, 72600, 1, 2}));
   ASSERT_TRUE(world.trace.add({74400, 75000, 2, 3}));
 
-  auto graph = ss::EpisodeGraph::partition(world.trace, 7, su::days(1.0));
-  EXPECT_EQ(graph.contact_episode_count(), 1u);  // span fusion serializes it
   auto dag = ss::ContactDag::partition(world.trace, 7, su::days(1.0));
   check_contactdag_invariants(world.trace, dag, 7, su::days(1.0));
-  ASSERT_EQ(dag.contact_task_count(), 3u);  // ...the strand cut does not
+  ASSERT_EQ(dag.contact_task_count(), 3u);
   EXPECT_EQ(dag.tasks()[0].contacts, (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(dag.tasks()[1].deps, (std::vector<std::size_t>{0}));  // via node 1
   EXPECT_EQ(dag.tasks()[2].deps, (std::vector<std::size_t>{1}));  // via node 2
   EXPECT_EQ(dag.width(), 2u);  // hops nest inside the anchor task's span
 
-  auto single = sd::run_scenario(config, &world);
-  EXPECT_GT(single.oracle.delivery_count(), 0u);
+  auto mono = sd::run_scenario(config, &world);
+  EXPECT_GT(mono.oracle.delivery_count(), 0u);
   for (std::size_t j : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     auto strands = sd::run_scenario(config, &world, {.subepisode_jobs = j});
-    EXPECT_EQ(fingerprint(single), fingerprint(strands)) << "strand jobs " << j;
+    EXPECT_EQ(fingerprint(mono), fingerprint(strands)) << "strand jobs " << j;
     EXPECT_GT(strands.oracle.delivery_count(), 0u);
   }
 }

@@ -1,8 +1,8 @@
 // Fault-injection suite (`ctest -L fault`): the disaster-realism layer —
 // lossy links, churn, partitions, adversaries — must keep every sweep
 // metric a pure function of (seed, grid): bitwise identical at any
-// --jobs/--episode-jobs count and across the single-scheduler and
-// episode-partitioned replay engines. Also pins the adversarial crypto
+// --jobs/--subepisode-jobs count and across the mono and contact-strand
+// replays. Also pins the adversarial crypto
 // paths (forged-signature storms vs the shared VerifyMemo, grayhole
 // accounting, reboot resume semantics) and the fault-grid validator.
 #include <gtest/gtest.h>
@@ -306,10 +306,10 @@ std::vector<sd::SweepCell> fault_grid() {
   return grid;
 }
 
-std::vector<Fingerprint> run_fault_grid(std::size_t jobs, std::size_t episode_jobs) {
+std::vector<Fingerprint> run_fault_grid(std::size_t jobs, std::size_t subepisode_jobs) {
   sd::SweepOptions opts;
   opts.jobs = jobs;
-  opts.episode_jobs = episode_jobs;
+  opts.subepisode_jobs = subepisode_jobs;
   auto results = sd::SweepRunner(opts).run(fault_grid());
   std::vector<Fingerprint> fps;
   for (const auto& r : results) fps.push_back(fingerprint(r));
@@ -317,9 +317,9 @@ std::vector<Fingerprint> run_fault_grid(std::size_t jobs, std::size_t episode_jo
 }
 
 TEST(FaultSweep, BitwiseIdenticalAcrossJobsAndEngines) {
-  // Serial single-scheduler vs 4 cell workers with 2-way episode
-  // partitioning: one comparison pins both the thread-count and the
-  // engine axis for every fault family at once.
+  // Serial mono vs 4 cell workers with 2-way strand partitioning: one
+  // comparison pins both the thread-count and the engine axis for every
+  // fault family at once.
   auto serial = run_fault_grid(1, 0);
   auto parallel = run_fault_grid(4, 2);
   ASSERT_EQ(serial.size(), parallel.size());

@@ -635,11 +635,11 @@ TEST(MwResume, EvictedCacheEntryFallsBackToFullHandshake) {
   EXPECT_EQ(bed.node(0).stats().full_handshakes, 3u);
 }
 
-// --- detach/attach seam under resumption (episode-partitioned replay) --------
+// --- detach/attach seam under resumption (partitioned replay) ------------------
 
 TEST(MwSeam, MidSessionDetachResumesOnNewShard) {
   // A node detached while a session is still live (the engine never does
-  // this — episode boundaries are quiescent — but the seam must be total):
+  // this — strand ends are quiescent — but the seam must be total):
   // the live session is torn down with its transport, while the resumption
   // cache migrates, so the next contact on a fresh shard is a 1-RTT resume
   // with zero new X25519 work, not a full handshake.

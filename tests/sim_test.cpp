@@ -71,7 +71,7 @@ TEST(Scheduler, InvalidEventIdIsNeverMintedAndCancelsAsNoOp) {
   EXPECT_EQ(sched.cancelled_backlog(), 0u);  // no-op left no tombstone
   sched.run_all();
   EXPECT_TRUE(fired);  // the live event was untouched
-  // Fresh schedulers (episode shards construct one per episode) also never
+  // Fresh schedulers (replay shards construct one per task) also never
   // hand out the sentinel as their first id.
   ss::Scheduler shard(100.0);
   EXPECT_NE(shard.schedule_in(1.0, [] {}), ss::kInvalidEventId);
@@ -339,7 +339,7 @@ TEST(DailyRoutine, HomeSeparationKeepsHouseholdsApart) {
   auto m = ss::daily_routine(24, su::days(1), params, rng);
   // 4am: everyone is asleep at home; all pairwise home distances respect
   // the separation floor (the knob that keeps overnight pairs out of radio
-  // range and the episode graph decomposable).
+  // range and the contact-strand DAG decomposable).
   for (std::size_t i = 0; i < 24; ++i) {
     for (std::size_t j = i + 1; j < 24; ++j) {
       EXPECT_GE(ss::distance(m->position(i, su::hours(4)), m->position(j, su::hours(4))),

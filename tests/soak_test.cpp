@@ -1,6 +1,6 @@
 // Soak suite (`ctest -L soak`): the versioned checkpoint codec and its
-// rejection paths, checkpoint/resume bitwise-identity pins across all three
-// replay engines and worker counts (the property the month-scale soak
+// rejection paths, checkpoint/resume bitwise-identity pins across mono and
+// contact-strand replay at several worker counts (the property the month-scale soak
 // harness rests on), the rolling-window anomaly detector, and the
 // time-scale regression tests the soak audit produced — resumption-ticket
 // re-mint cadence, PRoPHET table pruning at month horizons, and
@@ -12,6 +12,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/drbg.hpp"
@@ -91,8 +92,6 @@ struct EngineOpt {
 
 std::vector<EngineOpt> all_engines() {
   return {{"mono", {}},
-          {"episode-j1", {.partition = true, .jobs = 1}},
-          {"episode-j4", {.partition = true, .jobs = 4}},
           {"strand-j1", {.subepisode_jobs = 1}},
           {"strand-j4", {.subepisode_jobs = 4}}};
 }
@@ -243,7 +242,7 @@ TEST(SoakResume, CheckpointResumeBitwiseIdenticalOnEveryEngine) {
   Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
   ASSERT_GT(baseline.posts, 0u);
   for (const EngineOpt& e : all_engines()) {
-    // One uninterrupted session equals the single-scheduler replay.
+    // One uninterrupted session equals run_scenario.
     sd::ReplaySession whole(config, *world, e.opt);
     whole.advance_to(whole.horizon());
     EXPECT_EQ(baseline, fingerprint(whole.finish())) << e.name;
@@ -289,27 +288,29 @@ TEST(SoakResume, SegmentedAdvanceThroughEveryCutMatchesUninterrupted) {
 }
 
 TEST(SoakResume, CheckpointCrossesEngines) {
-  // Checkpoint under the episode engine, resume under the strand engine and
-  // the mono engine: node state is engine-agnostic.
+  // Checkpoint under mono, resume under the strand engine, and the reverse:
+  // node state is engine-agnostic.
   sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 3));
   auto world = sd::record_world(config);
   Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
 
-  sd::ReplaySession writer(config, *world, {.partition = true, .jobs = 4});
-  std::vector<su::SimTime> cuts = writer.quiescent_cuts(60.0);
-  ASSERT_FALSE(cuts.empty());
-  writer.advance_to(cuts[cuts.size() / 2]);
-  su::Writer w;
-  writer.save_state(w);
-  su::Bytes blob = w.take();
+  const EngineOpt mono{"mono", {}};
+  const EngineOpt strand{"strand-j4", {.subepisode_jobs = 4}};
+  for (const auto& [from, to] : {std::pair{mono, strand}, std::pair{strand, mono}}) {
+    const std::string what = std::string(from.name) + " -> " + to.name;
+    sd::ReplaySession writer(config, *world, from.opt);
+    std::vector<su::SimTime> cuts = writer.quiescent_cuts(60.0);
+    ASSERT_FALSE(cuts.empty()) << what;
+    writer.advance_to(cuts[cuts.size() / 2]);
+    su::Writer w;
+    writer.save_state(w);
+    su::Bytes blob = w.take();
 
-  for (const EngineOpt& e :
-       {EngineOpt{"strand-j4", {.subepisode_jobs = 4}}, EngineOpt{"mono", {}}}) {
-    sd::ReplaySession reader(config, *world, e.opt);
+    sd::ReplaySession reader(config, *world, to.opt);
     su::Reader r{su::ByteView(blob)};
-    ASSERT_TRUE(reader.load_state(r)) << e.name;
+    ASSERT_TRUE(reader.load_state(r)) << what;
     reader.advance_to(reader.horizon());
-    EXPECT_EQ(baseline, fingerprint(reader.finish())) << e.name;
+    EXPECT_EQ(baseline, fingerprint(reader.finish())) << what;
   }
 }
 
@@ -341,7 +342,7 @@ TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {
 TEST(SoakRunner, RunsToHorizonWithSnapshotsCheckpointsAndJsonl) {
   sk::SoakOptions opts;
   opts.config = small_config("interest", su::derive_seed(88, 1));
-  opts.replay = {.partition = true, .jobs = 2};
+  opts.replay = {.subepisode_jobs = 2};
   opts.snapshot_interval_s = 4 * 3600.0;
   opts.checkpoint_interval_s = 8 * 3600.0;
   opts.checkpoint_dir = temp_dir("soak-run-ckpts");

@@ -65,10 +65,9 @@ Fingerprint fingerprint(const sd::CellResult& r) {
           r.config.seed};
 }
 
-std::vector<Fingerprint> run_with_jobs(std::size_t jobs, bool reuse_traces = true) {
+std::vector<Fingerprint> run_with_jobs(std::size_t jobs) {
   sd::SweepOptions opts;
   opts.jobs = jobs;
-  opts.reuse_traces = reuse_traces;
   auto results = sd::SweepRunner(opts).run(tiny_grid());
   std::vector<Fingerprint> fps;
   for (const auto& r : results) fps.push_back(fingerprint(r));
@@ -97,7 +96,6 @@ TEST(Sweep, ResultsComeBackInGridOrder) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].cell, i / 2);
     EXPECT_EQ(results[i].variant, i % 2);
-    EXPECT_TRUE(results[i].replayed);
   }
   EXPECT_EQ(results[0].label, "1200m/epidemic");
   EXPECT_EQ(results[3].label, "2500m/interest");
@@ -153,7 +151,7 @@ TEST(Sweep, SweepWideMemoScopeDoesNotChangeMetrics) {
   // variant of a cell, concurrently) is pure-function memoization: per-cell
   // metrics must be bitwise identical to run-local memos at any thread
   // count. A multi-community cell with three scheme variants exercises the
-  // cross-variant sharing under both cell- and episode-level workers.
+  // cross-variant sharing under both cell- and strand-level workers.
   auto community_cell = [] {
     sd::SweepCell cell;
     cell.label = "memo";
@@ -177,7 +175,7 @@ TEST(Sweep, SweepWideMemoScopeDoesNotChangeMetrics) {
   auto run_local = sd::SweepRunner(local_opts).run({community_cell()});
   sd::SweepOptions shared_opts;
   shared_opts.jobs = 3;
-  shared_opts.episode_jobs = 2;
+  shared_opts.subepisode_jobs = 2;
   shared_opts.cell_verify_memo = true;
   auto sweep_wide = sd::SweepRunner(shared_opts).run({community_cell()});
   ASSERT_EQ(run_local.size(), sweep_wide.size());
@@ -189,26 +187,27 @@ TEST(Sweep, SweepWideMemoScopeDoesNotChangeMetrics) {
   EXPECT_GT(deliveries, 0u);
 }
 
-TEST(Sweep, CellResultsReportEpisodeParallelism) {
-  // The per-cell parallelism ceiling rides along with every variant result
-  // (the density benches print it), and a recorded world always yields at
-  // least one contact episode.
+TEST(Sweep, CellResultsReportSubepisodeParallelism) {
+  // The per-cell strand-DAG parallelism ceiling and width ride along with
+  // every variant result (the density benches print them), and a recorded
+  // world with contacts always yields at least one open task.
   sd::SweepOptions opts;
   opts.jobs = 2;
   auto results = sd::SweepRunner(opts).run(tiny_grid());
   for (const auto& r : results) {
-    EXPECT_GE(r.episode_parallelism, 1.0) << r.label;
-    EXPECT_GT(r.episodes, 0u) << r.label;
+    EXPECT_GE(r.subepisode_parallelism, 1.0) << r.label;
+    EXPECT_GT(r.subepisode_width, 0u) << r.label;
   }
   // Variants of one cell share the recorded world, hence the same partition.
-  EXPECT_DOUBLE_EQ(results[0].episode_parallelism, results[1].episode_parallelism);
+  EXPECT_DOUBLE_EQ(results[0].subepisode_parallelism, results[1].subepisode_parallelism);
+  EXPECT_EQ(results[0].subepisode_width, results[1].subepisode_width);
 }
 
 // --- WorkerBudget: the token pool behind nested parallelism ----------------
 
 TEST(WorkerBudget, DonationNeverLeaksOrMintsTokens) {
   // The donation path: finished cell workers release(1) their own thread
-  // while episode workers concurrently acquire(1) to grow. Conservation is
+  // while strand workers concurrently acquire(1) to grow. Conservation is
   // by protocol (every acquire()'s return value is eventually released by
   // its owner), so hammer exactly that protocol from many threads and
   // assert the pool returns to its initial size — a lost token would starve
@@ -243,7 +242,7 @@ TEST(WorkerBudget, DonationNeverLeaksOrMintsTokens) {
 TEST(WorkerBudget, DonatedThreadsDoNotChangeSweepMetrics) {
   // End-to-end donation: one cell, several variants, jobs well above the
   // cell-worker count, so the surplus seeds the budget and finished cell
-  // workers donate into episode engines still running. Metrics must be
+  // workers donate into strand engines still running. Metrics must be
   // bitwise identical to the fully serial run.
   auto grid = tiny_grid();
   sd::SweepOptions serial_opts;
@@ -251,7 +250,7 @@ TEST(WorkerBudget, DonatedThreadsDoNotChangeSweepMetrics) {
   auto serial = sd::SweepRunner(serial_opts).run(grid);
   sd::SweepOptions donate_opts;
   donate_opts.jobs = 8;  // 4 work items -> 4 cell workers + 4 budget tokens
-  donate_opts.episode_jobs = 3;
+  donate_opts.subepisode_jobs = 3;
   auto donated = sd::SweepRunner(donate_opts).run(grid);
   ASSERT_EQ(serial.size(), donated.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -1,4 +1,5 @@
-// sos_soak: month-scale soak driver over the replay engines.
+// sos_soak: month-scale soak driver over the replay engine (mono task or
+// contact-strand DAG).
 //
 // Records (or replays) the community-structured scenario and drives it
 // through soak::Runner — metric snapshots to a JSONL log, checkpoints at
@@ -30,8 +31,8 @@ void usage() {
                "  --communities C         mobility communities (default 4)\n"
                "  --scheme S              routing scheme (default interest)\n"
                "  --seed X                world seed (default 42)\n"
-               "  --engine E              mono | episode | strand (default episode)\n"
-               "  --jobs J                worker threads for the engine (default 4)\n"
+               "  --engine E              mono | strand (default strand)\n"
+               "  --jobs J                strand worker threads (default 4)\n"
                "  --snapshot-interval-s T metric snapshot cadence (default 21600)\n"
                "  --checkpoint-dir DIR    write checkpoints here (default off)\n"
                "  --checkpoint-interval-s T  checkpoint cadence (default 86400)\n"
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
   std::size_t communities = 4;
   std::string scheme = "interest";
   std::uint64_t seed = 42;
-  std::string engine = "episode";
+  std::string engine = "strand";
   std::size_t jobs = 4;
   bool do_resume = false;
 
@@ -150,11 +151,7 @@ int main(int argc, char** argv) {
   opts.config = config;
 
   if (engine == "mono") {
-    opts.replay.partition = false;
     opts.replay.subepisode_jobs = 0;
-  } else if (engine == "episode") {
-    opts.replay.partition = true;
-    opts.replay.jobs = jobs;
   } else if (engine == "strand") {
     opts.replay.subepisode_jobs = jobs;
   } else {
