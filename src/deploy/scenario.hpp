@@ -6,14 +6,18 @@
 // social graph, IB routing); every knob is exposed for the ablations.
 #pragma once
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "deploy/oracle.hpp"
 #include "graph/digraph.hpp"
 #include "mw/stats.hpp"
 #include "sim/faults.hpp"
+#include "sim/multipeer.hpp"
 #include "sim/radio.hpp"
 #include "sim/trace.hpp"
 
@@ -89,16 +93,46 @@ struct ScenarioConfig {
   double post_window_end_h = 23.5;
 };
 
-struct ScenarioResult {
-  MetricsOracle oracle;
-  mw::NodeStats totals;                 // summed over all nodes
-  std::uint64_t contacts = 0;           // radio-range encounters
+/// The link counters a replay reads off each shard's network and sums into
+/// its result. kNetworkFields is the one list of them: the replay's collect,
+/// merge and checkpoint, the soak snapshot and the determinism pins walk it.
+struct NetworkCounters {
   std::uint64_t wire_frames = 0;
   std::uint64_t wire_bytes = 0;
   std::uint64_t connections = 0;
-  std::uint64_t connections_failed = 0; // declined/out-of-range/broken setups
-  std::uint64_t frames_lost = 0;        // mid-transfer disconnects
+  std::uint64_t connections_failed = 0;    // declined/out-of-range/broken setups
+  std::uint64_t frames_lost = 0;           // mid-transfer disconnects
   std::uint64_t frames_dropped_fault = 0;  // injected loss/grayhole drops
+};
+
+/// One network counter: its name (the soak JSONL key and `--stop` metric),
+/// its member, and the sim::MpcNetwork accessor it is read from.
+struct NetworkField {
+  std::string_view name;
+  std::uint64_t NetworkCounters::*member;
+  std::uint64_t (sim::MpcNetwork::*read)() const;
+};
+
+/// In declaration order, which is the replay checkpoint layout.
+inline constexpr NetworkField kNetworkFields[] = {
+    {"wire_frames", &NetworkCounters::wire_frames, &sim::MpcNetwork::frames_sent},
+    {"wire_bytes", &NetworkCounters::wire_bytes, &sim::MpcNetwork::bytes_sent},
+    {"connections", &NetworkCounters::connections, &sim::MpcNetwork::connections_established},
+    {"connections_failed", &NetworkCounters::connections_failed,
+     &sim::MpcNetwork::connections_failed},
+    {"frames_lost", &NetworkCounters::frames_lost, &sim::MpcNetwork::frames_lost},
+    {"frames_dropped_fault", &NetworkCounters::frames_dropped_fault,
+     &sim::MpcNetwork::frames_dropped_fault},
+};
+
+static_assert(sizeof(NetworkCounters) == std::size(kNetworkFields) * sizeof(std::uint64_t),
+              "every NetworkCounters counter must appear in kNetworkFields");
+
+/// A run's outputs; the network counters come from the NetworkCounters base.
+struct ScenarioResult : NetworkCounters {
+  MetricsOracle oracle;
+  mw::NodeStats totals;                 // summed over all nodes
+  std::uint64_t contacts = 0;           // radio-range encounters
   graph::Digraph social;                // the graph actually used
   double simulated_days = 0;
 };

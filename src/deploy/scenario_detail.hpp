@@ -80,7 +80,4 @@ std::unique_ptr<sim::TrajectoryMobility> build_mobility(const ScenarioConfig& co
 /// branch, so override/Fig-4a configs leave the stream untouched.
 graph::Digraph build_social_graph(const ScenarioConfig& config, util::Rng& rng);
 
-/// a += b for every NodeStats counter (the per-run totals aggregation).
-void add_stats(mw::NodeStats& a, const mw::NodeStats& b);
-
 }  // namespace sos::deploy::detail

@@ -17,31 +17,14 @@
 namespace sos::mw {
 
 namespace {
-// NodeStats has no behavior of its own; serialize the counters in
-// declaration order so the checkpoint layout is stable and reviewable.
+// Counters in kNodeStatsFields order: the checkpoint layout.
 void save_stats(util::Writer& w, const NodeStats& s) {
-  const std::uint64_t counters[] = {
-      s.sessions_established, s.sessions_lost, s.full_handshakes, s.sessions_resumed,
-      s.resume_attempts, s.resume_rejected, s.ecdh_ops, s.handshake_cert_rejected,
-      s.handshake_sig_rejected, s.frames_sent, s.frames_received, s.decrypt_failures,
-      s.malformed_frames, s.bundles_sent, s.bundles_received, s.bundle_sig_rejected,
-      s.bundle_cert_rejected, s.bundle_sig_cache_hits, s.bundle_sig_cache_misses,
-      s.bundle_batch_verifies, s.bundle_batch_fallbacks, s.duplicates_ignored,
-      s.bundles_carried, s.deliveries, s.transfers_interrupted, s.published, s.reboots};
-  for (std::uint64_t c : counters) w.u64(c);
+  for (const StatsField& f : kNodeStatsFields) w.u64(s.*f.member);
 }
 
 bool load_stats(util::Reader& r, NodeStats& s) {
   NodeStats t;
-  std::uint64_t* counters[] = {
-      &t.sessions_established, &t.sessions_lost, &t.full_handshakes, &t.sessions_resumed,
-      &t.resume_attempts, &t.resume_rejected, &t.ecdh_ops, &t.handshake_cert_rejected,
-      &t.handshake_sig_rejected, &t.frames_sent, &t.frames_received, &t.decrypt_failures,
-      &t.malformed_frames, &t.bundles_sent, &t.bundles_received, &t.bundle_sig_rejected,
-      &t.bundle_cert_rejected, &t.bundle_sig_cache_hits, &t.bundle_sig_cache_misses,
-      &t.bundle_batch_verifies, &t.bundle_batch_fallbacks, &t.duplicates_ignored,
-      &t.bundles_carried, &t.deliveries, &t.transfers_interrupted, &t.published, &t.reboots};
-  for (std::uint64_t* c : counters) *c = r.u64();
+  for (const StatsField& f : kNodeStatsFields) t.*f.member = r.u64();
   if (!r.ok()) return false;
   s = t;
   return true;

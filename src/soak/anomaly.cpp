@@ -12,6 +12,14 @@ std::string fmt_days(double sim_time) {
   os << (sim_time / 86400.0) << "d";
   return os.str();
 }
+
+/// A watched counter's value by its snapshot metric name (soak_test pins
+/// that every watched name resolves).
+std::uint64_t watched(const MetricSnapshot& snap, std::string_view name) {
+  double v = 0;
+  snapshot_metric(snap, name, &v);
+  return static_cast<std::uint64_t>(v);
+}
 }  // namespace
 
 void AnomalyDetector::track_rate(const std::string& name, std::uint64_t value,
@@ -88,21 +96,12 @@ std::vector<Anomaly> AnomalyDetector::observe(const MetricSnapshot& snap) {
       primed_ && snap.wire_frames >= last_frames_ ? snap.wire_frames - last_frames_ : 0;
   double hours = primed_ ? (snap.sim_time - last_sim_time_) / 3600.0 : 0;
 
-  track_rate("sessions_established", snap.totals.sessions_established, hours,
-             snap.sim_time, out);
-  track_rate("full_handshakes", snap.totals.full_handshakes, hours, snap.sim_time, out);
-  track_rate("frames_sent", snap.totals.frames_sent, hours, snap.sim_time, out);
-  track_rate("bundles_sent", snap.totals.bundles_sent, hours, snap.sim_time, out);
-  track_rate("decrypt_failures", snap.totals.decrypt_failures, hours, snap.sim_time, out);
-  track_rate("malformed_frames", snap.totals.malformed_frames, hours, snap.sim_time, out);
-  track_rate("resume_rejected", snap.totals.resume_rejected, hours, snap.sim_time, out);
-  track_rate("reboots", snap.totals.reboots, hours, snap.sim_time, out);
+  for (const char* name : kRateWatch)
+    track_rate(name, watched(snap, name), hours, snap.sim_time, out);
 
   if (primed_) {
-    track_stall("bundles_sent", snap.totals.bundles_sent, frames_delta, snap.sim_time, out);
-    track_stall("deliveries", snap.totals.deliveries, frames_delta, snap.sim_time, out);
-    track_stall("sessions_established", snap.totals.sessions_established, frames_delta,
-                snap.sim_time, out);
+    for (const char* name : kStallWatch)
+      track_stall(name, watched(snap, name), frames_delta, snap.sim_time, out);
   }
 
   if (snap.rss_kb > 0) {

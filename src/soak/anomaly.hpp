@@ -30,29 +30,62 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "deploy/scenario.hpp"
 #include "mw/stats.hpp"
 
 namespace sos::soak {
 
 /// One per-interval metric snapshot, written to the JSONL log and fed to
 /// the detector. Counters are cumulative; the detector differences them.
-struct MetricSnapshot {
+/// The network counters (wire_frames, ...) come from the NetworkCounters
+/// base, merged over the replay so far.
+struct MetricSnapshot : deploy::NetworkCounters {
   double sim_time = 0;
   std::uint64_t segment = 0;
   mw::NodeStats totals;               // summed over the fleet
-  std::uint64_t posts = 0;            // oracle: posts recorded
-  std::uint64_t deliveries = 0;       // oracle: deliveries recorded
-  std::uint64_t carries = 0;          // oracle: carry records
-  std::uint64_t wire_frames = 0;      // network frames delivered
-  std::uint64_t wire_bytes = 0;       // network bytes delivered
+  std::uint64_t posts = 0;            // oracle: honest posts (floods excluded)
   std::uint64_t store_bundles = 0;    // bundles resident across all stores
   std::uint64_t resume_cache_entries = 0;
   std::uint64_t prophet_entries = 0;  // PRoPHET predictability rows (0 if n/a)
   std::uint64_t crl_entries = 0;      // TrustStore CRL entries across fleet
   std::uint64_t rss_kb = 0;           // process resident set (0 if unknown)
 };
+
+/// The one list of snapshot metric names: the JSONL snapshot record,
+/// `--stop` predicates and the detector's watch lists all resolve through
+/// it. Calls visit(name, value) in JSONL key order: sim_time and sim_days
+/// (double), then segment, posts, every NodeStats counter, every network
+/// counter and the gauges (std::uint64_t).
+template <class Visit>
+void for_each_metric(const MetricSnapshot& s, Visit&& visit) {
+  using namespace std::string_view_literals;
+  visit("sim_time"sv, s.sim_time);
+  visit("sim_days"sv, s.sim_time / 86400.0);
+  visit("segment"sv, s.segment);
+  visit("posts"sv, s.posts);
+  for (const mw::StatsField& f : mw::kNodeStatsFields) visit(f.name, s.totals.*f.member);
+  for (const deploy::NetworkField& f : deploy::kNetworkFields) visit(f.name, s.*f.member);
+  visit("store_bundles"sv, s.store_bundles);
+  visit("resume_cache_entries"sv, s.resume_cache_entries);
+  visit("prophet_entries"sv, s.prophet_entries);
+  visit("crl_entries"sv, s.crl_entries);
+  visit("rss_kb"sv, s.rss_kb);
+}
+
+/// Resolve a snapshot metric by its JSONL name; false if unknown.
+inline bool snapshot_metric(const MetricSnapshot& snap, std::string_view name, double* out) {
+  bool found = false;
+  for_each_metric(snap, [&](std::string_view n, auto v) {
+    if (!found && n == name) {
+      *out = static_cast<double>(v);
+      found = true;
+    }
+  });
+  return found;
+}
 
 struct AnomalyConfig {
   std::size_t window = 8;             // rolling window length, in intervals
@@ -81,6 +114,15 @@ class AnomalyDetector {
   explicit AnomalyDetector(AnomalyConfig config) : config_(config) {}
 
   std::vector<Anomaly> observe(const MetricSnapshot& snap);
+
+  /// The watch policy, by snapshot metric name (for_each_metric):
+  /// counters whose per-hour rate may not spike, and liveness counters that
+  /// may not stall while frames flow.
+  static constexpr const char* kRateWatch[] = {
+      "sessions_established", "full_handshakes",  "frames_sent",     "bundles_sent",
+      "decrypt_failures",     "malformed_frames", "resume_rejected", "reboots"};
+  static constexpr const char* kStallWatch[] = {"bundles_sent", "deliveries",
+                                                "sessions_established"};
 
  private:
   struct CounterTrack {

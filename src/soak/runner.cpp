@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #if defined(__linux__)
 #include <unistd.h>
@@ -43,11 +45,8 @@ MetricSnapshot make_snapshot(deploy::ReplaySession& session, std::uint64_t segme
   snap.segment = segment;
   snap.totals = session.stats_totals();
   const deploy::ScenarioResult& partial = session.partial();
+  static_cast<deploy::NetworkCounters&>(snap) = partial;
   snap.posts = partial.oracle.posts().size();
-  snap.deliveries = partial.oracle.deliveries().size();
-  snap.carries = partial.oracle.carries().size();
-  snap.wire_frames = partial.wire_frames;
-  snap.wire_bytes = partial.wire_bytes;
   for (std::size_t i = 0; i < session.node_count(); ++i) {
     mw::SosNode& node = session.node(i);
     snap.store_bundles += node.store().size();
@@ -63,69 +62,33 @@ MetricSnapshot make_snapshot(deploy::ReplaySession& session, std::uint64_t segme
 
 void log_snapshot(JsonlWriter& log, const MetricSnapshot& s) {
   JsonObject o;
-  o.str("kind", "snapshot")
-      .num("sim_time", s.sim_time)
-      .num("sim_days", s.sim_time / 86400.0)
-      .count("segment", s.segment)
-      .count("posts", s.posts)
-      .count("deliveries", s.deliveries)
-      .count("carries", s.carries)
-      .count("sessions_established", s.totals.sessions_established)
-      .count("sessions_resumed", s.totals.sessions_resumed)
-      .count("full_handshakes", s.totals.full_handshakes)
-      .count("resume_rejected", s.totals.resume_rejected)
-      .count("frames_sent", s.totals.frames_sent)
-      .count("frames_received", s.totals.frames_received)
-      .count("bundles_sent", s.totals.bundles_sent)
-      .count("bundles_received", s.totals.bundles_received)
-      .count("decrypt_failures", s.totals.decrypt_failures)
-      .count("malformed_frames", s.totals.malformed_frames)
-      .count("duplicates_ignored", s.totals.duplicates_ignored)
-      .count("reboots", s.totals.reboots)
-      .count("wire_frames", s.wire_frames)
-      .count("wire_bytes", s.wire_bytes)
-      .count("store_bundles", s.store_bundles)
-      .count("resume_cache_entries", s.resume_cache_entries)
-      .count("prophet_entries", s.prophet_entries)
-      .count("crl_entries", s.crl_entries)
-      .count("rss_kb", s.rss_kb);
+  o.str("kind", "snapshot");
+  for_each_metric(s, [&o](std::string_view name, auto v) {
+    if constexpr (std::is_same_v<decltype(v), double>) {
+      o.num(name, v);
+    } else {
+      o.count(name, v);
+    }
+  });
   log.write(o);
 }
 
-}  // namespace
-
-bool snapshot_metric(const MetricSnapshot& snap, const std::string& name, double* out) {
-  auto set = [out](double v) {
-    *out = v;
-    return true;
-  };
-  if (name == "sim_time") return set(snap.sim_time);
-  if (name == "sim_days") return set(snap.sim_time / 86400.0);
-  if (name == "posts") return set(static_cast<double>(snap.posts));
-  if (name == "deliveries") return set(static_cast<double>(snap.deliveries));
-  if (name == "carries") return set(static_cast<double>(snap.carries));
-  if (name == "sessions_established")
-    return set(static_cast<double>(snap.totals.sessions_established));
-  if (name == "sessions_resumed")
-    return set(static_cast<double>(snap.totals.sessions_resumed));
-  if (name == "full_handshakes")
-    return set(static_cast<double>(snap.totals.full_handshakes));
-  if (name == "frames_sent") return set(static_cast<double>(snap.totals.frames_sent));
-  if (name == "bundles_sent") return set(static_cast<double>(snap.totals.bundles_sent));
-  if (name == "decrypt_failures")
-    return set(static_cast<double>(snap.totals.decrypt_failures));
-  if (name == "malformed_frames")
-    return set(static_cast<double>(snap.totals.malformed_frames));
-  if (name == "wire_frames") return set(static_cast<double>(snap.wire_frames));
-  if (name == "wire_bytes") return set(static_cast<double>(snap.wire_bytes));
-  if (name == "store_bundles") return set(static_cast<double>(snap.store_bundles));
-  if (name == "resume_cache_entries")
-    return set(static_cast<double>(snap.resume_cache_entries));
-  if (name == "prophet_entries") return set(static_cast<double>(snap.prophet_entries));
-  if (name == "crl_entries") return set(static_cast<double>(snap.crl_entries));
-  if (name == "rss_kb") return set(static_cast<double>(snap.rss_kb));
-  return false;
+/// Empty if every predicate names a snapshot metric and a supported op,
+/// else the stop reason that rejects the run.
+std::string invalid_predicate(const std::vector<StopPredicate>& predicates) {
+  for (const StopPredicate& p : predicates) {
+    double unused = 0;
+    if (!snapshot_metric(MetricSnapshot{}, p.metric, &unused)) {
+      return "invalid-predicate: unknown metric '" + p.metric + "'";
+    }
+    if (p.op != ">=" && p.op != "<=") {
+      return "invalid-predicate: unsupported op '" + p.op + "' (want >= or <=)";
+    }
+  }
+  return "";
 }
+
+}  // namespace
 
 SoakResult Runner::run(const deploy::ScenarioWorld& world) {
   deploy::ReplaySession session(opts_.config, world, opts_.replay);
@@ -153,6 +116,7 @@ SoakResult Runner::drive(deploy::ReplaySession& session,
                          std::uint64_t start_segment) {
   SoakResult result;
   result.segments = start_segment;
+  result.stop_reason = invalid_predicate(opts_.stop.predicates);
 
   if (!opts_.jsonl_path.empty()) {
     std::filesystem::path parent = std::filesystem::path(opts_.jsonl_path).parent_path();
@@ -213,7 +177,7 @@ SoakResult Runner::drive(deploy::ReplaySession& session,
 
     for (const StopPredicate& p : opts_.stop.predicates) {
       double v = 0;
-      if (!snapshot_metric(snap, p.metric, &v)) continue;
+      snapshot_metric(snap, p.metric, &v);  // names checked before the first segment
       bool hit = (p.op == ">=" && v >= p.value) || (p.op == "<=" && v <= p.value);
       if (hit) {
         std::ostringstream os;
@@ -280,7 +244,7 @@ SoakResult Runner::drive(deploy::ReplaySession& session,
         .count("segments", result.segments)
         .count("checkpoints", result.checkpoints_written)
         .count("anomalies", result.anomalies.size())
-        .count("deliveries", result.scenario.oracle.deliveries().size());
+        .count("deliveries", result.scenario.totals.deliveries);
     log.write(o);
   }
   return result;

@@ -22,8 +22,10 @@ class ReplaySession;
 namespace sos::soak {
 
 /// One metric predicate: halt when `metric op value` holds at a snapshot.
-/// Supported ops: ">=" and "<=". Metrics are the snapshot's flat names
-/// (e.g. "deliveries", "bundles_sent", "rss_kb", "sim_days").
+/// Supported ops: ">=" and "<=". Metrics are any snapshot metric name
+/// (soak/snapshot.hpp: "deliveries", "reboots", "wire_bytes", "rss_kb",
+/// "sim_days", ...); a run with an unknown name or op replays nothing and
+/// stops with an "invalid-predicate: ..." reason.
 struct StopPredicate {
   std::string metric;
   std::string op;
@@ -56,16 +58,15 @@ struct SoakOptions {
 struct SoakResult {
   deploy::ScenarioResult scenario;  // merged metrics at halt (final iff completed)
   bool completed = false;           // reached the horizon
-  std::string stop_reason;          // "horizon" | "wall-budget" | "predicate:..." | "anomaly:..."
+  /// "horizon" | "wall-budget" | "predicate:..." | "anomaly:..." |
+  /// "invalid-predicate:..." | "resume-rejected:..."
+  std::string stop_reason;
   std::vector<Anomaly> anomalies;
   std::uint64_t segments = 0;            // advance_to segments executed (cumulative)
   std::uint64_t checkpoints_written = 0;
   double sim_time = 0;
   std::vector<MetricSnapshot> snapshots;
 };
-
-/// Resolve a snapshot metric by its flat JSONL name; false if unknown.
-bool snapshot_metric(const MetricSnapshot& snap, const std::string& name, double* out);
 
 class Runner {
  public:

@@ -11,11 +11,14 @@
 #include "deploy/oracle.hpp"
 #include "deploy/report.hpp"
 #include "deploy/scenario.hpp"
+#include "result_eq.hpp"
 #include "util/time.hpp"
 
 namespace sd = sos::deploy;
 namespace sp = sos::pki;
 namespace su = sos::util;
+
+using sos::test::expect_same_result;
 
 namespace {
 sp::UserId uid(const std::string& s) { return sp::user_id_from_name(s); }
@@ -129,30 +132,6 @@ sd::ScenarioConfig short_config(const std::string& scheme, std::uint64_t seed = 
   config.total_posts_target = 80.0;
   return config;
 }
-
-/// Bitwise comparison of two runs: every wire counter, every NodeStats
-/// counter, and each delivery record including its hop count.
-void expect_same_run(const sd::ScenarioResult& a, const sd::ScenarioResult& b,
-                     const std::string& what) {
-  EXPECT_EQ(a.contacts, b.contacts) << what;
-  EXPECT_EQ(a.wire_frames, b.wire_frames) << what;
-  EXPECT_EQ(a.wire_bytes, b.wire_bytes) << what;
-  EXPECT_EQ(a.connections, b.connections) << what;
-  EXPECT_EQ(a.connections_failed, b.connections_failed) << what;
-  EXPECT_EQ(a.frames_lost, b.frames_lost) << what;
-  EXPECT_EQ(a.frames_dropped_fault, b.frames_dropped_fault) << what;
-  EXPECT_TRUE(a.totals == b.totals) << what << ": NodeStats totals differ";
-  EXPECT_EQ(a.oracle.post_count(), b.oracle.post_count()) << what;
-  EXPECT_EQ(a.oracle.carry_count(), b.oracle.carry_count()) << what;
-  ASSERT_EQ(a.oracle.delivery_count(), b.oracle.delivery_count()) << what;
-  for (std::size_t i = 0; i < a.oracle.delivery_count(); ++i) {
-    const sd::DeliveryRecord& x = a.oracle.deliveries()[i];
-    const sd::DeliveryRecord& y = b.oracle.deliveries()[i];
-    EXPECT_TRUE(x.id == y.id && x.subscriber == y.subscriber && x.at == y.at &&
-                x.hops == y.hops)
-        << what << ": delivery " << i << " differs";
-  }
-}
 }  // namespace
 
 TEST(Scenario, RunWithoutWorldEqualsRecordThenReplay) {
@@ -166,7 +145,7 @@ TEST(Scenario, RunWithoutWorldEqualsRecordThenReplay) {
     const std::string what = config.scheme + " seed " + std::to_string(config.seed) + ", " +
                              std::to_string(static_cast<int>(config.days)) + " days";
     auto world = sd::record_world(config);
-    expect_same_run(sd::run_scenario(config), sd::run_scenario(config, world.get()), what);
+    expect_same_result(sd::run_scenario(config), sd::run_scenario(config, world.get()), what);
   }
 }
 
@@ -191,10 +170,7 @@ TEST(Scenario, SecurityCountersCleanInHonestRun) {
 TEST(Scenario, DeterministicForSameSeed) {
   auto r1 = sd::run_scenario(short_config("interest", 7));
   auto r2 = sd::run_scenario(short_config("interest", 7));
-  EXPECT_EQ(r1.oracle.post_count(), r2.oracle.post_count());
-  EXPECT_EQ(r1.oracle.delivery_count(), r2.oracle.delivery_count());
-  EXPECT_EQ(r1.contacts, r2.contacts);
-  EXPECT_EQ(r1.wire_bytes, r2.wire_bytes);
+  expect_same_result(r1, r2, "interest seed 7, run twice");
 }
 
 TEST(Scenario, DifferentSeedsDiffer) {

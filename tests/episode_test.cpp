@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "deploy/replay.hpp"
 #include "deploy/sweep.hpp"
+#include "result_eq.hpp"
 #include "sim/mobility.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/subepisode.hpp"
@@ -24,43 +26,14 @@ namespace sg = sos::graph;
 namespace ss = sos::sim;
 namespace su = sos::util;
 
+using sos::test::expect_same_result;
+
 namespace {
 
 ss::ContactTrace make_trace(std::vector<ss::ContactInterval> contacts) {
   ss::ContactTrace t;
   for (const auto& c : contacts) EXPECT_TRUE(t.add(c));
   return t;
-}
-
-/// The metrics that must be bitwise identical across replay engines.
-struct Fingerprint {
-  std::size_t posts, deliveries, carries;
-  std::uint64_t contacts, wire_frames, wire_bytes, connections, frames_lost;
-  std::uint64_t bundles_sent, bundles_received, sessions, full_handshakes, resumed;
-  std::uint64_t ecdh, cache_hits, cache_misses, batch_verifies, interrupted, duplicates;
-  bool operator==(const Fingerprint&) const = default;
-};
-
-Fingerprint fingerprint(const sd::ScenarioResult& r) {
-  return {r.oracle.post_count(),
-          r.oracle.delivery_count(),
-          r.oracle.carry_count(),
-          r.contacts,
-          r.wire_frames,
-          r.wire_bytes,
-          r.connections,
-          r.frames_lost,
-          r.totals.bundles_sent,
-          r.totals.bundles_received,
-          r.totals.sessions_established,
-          r.totals.full_handshakes,
-          r.totals.sessions_resumed,
-          r.totals.ecdh_ops,
-          r.totals.bundle_sig_cache_hits,
-          r.totals.bundle_sig_cache_misses,
-          r.totals.bundle_batch_verifies,
-          r.totals.transfers_interrupted,
-          r.totals.duplicates_ignored};
 }
 
 }  // namespace
@@ -195,13 +168,14 @@ TEST(SubepisodeReplay, BitwiseIdenticalToMonoAtAnyWorkerCount) {
   for (const sd::ScenarioConfig& config : determinism_configs()) {
     auto world = sd::record_world(config);
     ASSERT_GT(world->trace.size(), 0u);
-    auto mono = fingerprint(sd::run_scenario(config, world.get()));
-    auto strand1 = fingerprint(sd::run_scenario(config, world.get(), {.subepisode_jobs = 1}));
-    auto strand4 = fingerprint(sd::run_scenario(config, world.get(), {.subepisode_jobs = 4}));
-    EXPECT_EQ(mono, strand1) << config.scheme << " seed " << config.seed;
-    EXPECT_EQ(mono, strand4) << config.scheme << " seed " << config.seed;
+    const std::string what = config.scheme + " seed " + std::to_string(config.seed);
+    auto mono = sd::run_scenario(config, world.get());
+    expect_same_result(mono, sd::run_scenario(config, world.get(), {.subepisode_jobs = 1}),
+                       what + ", strand jobs 1");
+    expect_same_result(mono, sd::run_scenario(config, world.get(), {.subepisode_jobs = 4}),
+                       what + ", strand jobs 4");
     // The workload exercised the stack.
-    EXPECT_GT(mono.posts, 0u);
+    EXPECT_GT(mono.oracle.post_count(), 0u);
   }
 }
 
@@ -213,15 +187,13 @@ TEST(MonoReplay, SharedVerifyMemoDoesNotChangeMetrics) {
   config.days = 1.0;
   config.total_posts_target = 60;
   auto world = sd::record_world(config);
-  auto with_memo = fingerprint(
-      sd::run_scenario(config, world.get(), {.share_verify_memo = true}));
-  auto without = fingerprint(
-      sd::run_scenario(config, world.get(), {.share_verify_memo = false}));
-  EXPECT_EQ(with_memo, without);
-  EXPECT_GT(with_memo.deliveries, 0u);
+  auto with_memo = sd::run_scenario(config, world.get(), {.share_verify_memo = true});
+  auto without = sd::run_scenario(config, world.get(), {.share_verify_memo = false});
+  expect_same_result(with_memo, without, "shared memo vs none");
+  EXPECT_GT(with_memo.oracle.delivery_count(), 0u);
   // The memo must not leak into the per-node counters: every node still
   // records the verifies the real device would perform.
-  EXPECT_GT(with_memo.cache_misses, 0u);
+  EXPECT_GT(with_memo.totals.bundle_sig_cache_misses, 0u);
 }
 
 TEST(SubepisodeReplay, SweepRunnerSubepisodeJobsMatchesMono) {
@@ -247,8 +219,9 @@ TEST(SubepisodeReplay, SweepRunnerSubepisodeJobsMatchesMono) {
     auto stranded = sd::SweepRunner(strand_opts).run({grid_cell()});
     ASSERT_EQ(baseline.size(), stranded.size());
     for (std::size_t i = 0; i < baseline.size(); ++i) {
-      EXPECT_EQ(fingerprint(baseline[i].result), fingerprint(stranded[i].result))
-          << baseline[i].label << " (strand jobs " << strand_jobs << ")";
+      expect_same_result(baseline[i].result, stranded[i].result,
+                         baseline[i].label + " (strand jobs " + std::to_string(strand_jobs) +
+                             ")");
       EXPECT_EQ(baseline[i].config.seed, stranded[i].config.seed);
     }
   }
@@ -406,18 +379,17 @@ TEST(RandomizedDeterminism, MultiCommunityWorldsAreBitwiseIdenticalAcrossEngines
         ss::ContactDag::partition(world->trace, config.nodes, su::days(config.days));
     check_contactdag_invariants(world->trace, dag, config.nodes, su::days(config.days));
 
-    const Fingerprint mono = fingerprint(sd::run_scenario(config, world.get()));
+    const sd::ScenarioResult mono = sd::run_scenario(config, world.get());
     for (std::size_t j : strand_jobs) {
-      const Fingerprint strands =
-          fingerprint(sd::run_scenario(config, world.get(), {.subepisode_jobs = j}));
-      EXPECT_EQ(mono, strands)
-          << "world " << w << " (" << config.scheme << ", " << config.communities
-          << " communities, seed " << config.seed
-          << ") diverged on the strand engine at jobs " << j;
+      expect_same_result(mono, sd::run_scenario(config, world.get(), {.subepisode_jobs = j}),
+                         "world " + std::to_string(w) + " (" + config.scheme + ", " +
+                             std::to_string(config.communities) + " communities, seed " +
+                             std::to_string(config.seed) + ") on the strand engine at jobs " +
+                             std::to_string(j));
     }
     total_contacts += world->trace.size();
-    total_posts += mono.posts;
-    total_deliveries += mono.deliveries;
+    total_posts += mono.oracle.post_count();
+    total_deliveries += mono.oracle.delivery_count();
   }
   // The sampled population exercised the full stack, not 50 empty worlds.
   EXPECT_GT(total_contacts, 500u);
@@ -480,7 +452,7 @@ TEST(SubepisodeReplay, BundleRelaysAcrossTaskBoundary) {
 
   auto mono = sd::run_scenario(config, &world);
   auto strands = sd::run_scenario(config, &world, {.subepisode_jobs = 2});
-  EXPECT_EQ(fingerprint(mono), fingerprint(strands));
+  expect_same_result(mono, strands, "mono vs strand jobs 2");
   // The bundle made it: picked up by node 1 in task 0, delivered to node 2
   // in task 1.
   EXPECT_GT(strands.oracle.delivery_count(), 0u);
@@ -526,7 +498,7 @@ TEST(SubepisodeReplay, BundleRelaysAcrossThreeStrandsInsideOneAnchorSpan) {
   EXPECT_GT(mono.oracle.delivery_count(), 0u);
   for (std::size_t j : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     auto strands = sd::run_scenario(config, &world, {.subepisode_jobs = j});
-    EXPECT_EQ(fingerprint(mono), fingerprint(strands)) << "strand jobs " << j;
+    expect_same_result(mono, strands, "strand jobs " + std::to_string(j));
     EXPECT_GT(strands.oracle.delivery_count(), 0u);
   }
 }

@@ -7,11 +7,14 @@
 // encounter-detector tick-grid anchoring.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "mw/schemes/prophet.hpp"
 #include "mw/sos_node.hpp"
 #include "pki/bootstrap.hpp"
+#include "result_eq.hpp"
 #include "sim/multipeer.hpp"
 #include "sim/radio.hpp"
 #include "sim/scheduler.hpp"
@@ -41,39 +45,9 @@ namespace sp = sos::pki;
 namespace ss = sos::sim;
 namespace su = sos::util;
 
+using sos::test::expect_same_result;
+
 namespace {
-
-/// The metrics that must be bitwise identical across engines and across a
-/// checkpoint/resume boundary (mirrors tests/episode_test.cpp).
-struct Fingerprint {
-  std::size_t posts, deliveries, carries;
-  std::uint64_t contacts, wire_frames, wire_bytes, connections, frames_lost;
-  std::uint64_t bundles_sent, bundles_received, sessions, full_handshakes, resumed;
-  std::uint64_t ecdh, cache_hits, cache_misses, batch_verifies, interrupted, duplicates;
-  bool operator==(const Fingerprint&) const = default;
-};
-
-Fingerprint fingerprint(const sd::ScenarioResult& r) {
-  return {r.oracle.post_count(),
-          r.oracle.delivery_count(),
-          r.oracle.carry_count(),
-          r.contacts,
-          r.wire_frames,
-          r.wire_bytes,
-          r.connections,
-          r.frames_lost,
-          r.totals.bundles_sent,
-          r.totals.bundles_received,
-          r.totals.sessions_established,
-          r.totals.full_handshakes,
-          r.totals.sessions_resumed,
-          r.totals.ecdh_ops,
-          r.totals.bundle_sig_cache_hits,
-          r.totals.bundle_sig_cache_misses,
-          r.totals.bundle_batch_verifies,
-          r.totals.transfers_interrupted,
-          r.totals.duplicates_ignored};
-}
 
 sd::ScenarioConfig small_config(const std::string& scheme, std::uint64_t seed) {
   sd::ScenarioConfig c = sd::gainesville_config(scheme, seed);
@@ -233,19 +207,75 @@ TEST(CheckpointCodec, WorldDigestDistinguishesWorlds) {
   EXPECT_NE(base, sk::world_digest(scheme_flip, *world));
 }
 
+TEST(CheckpointLayout, NodeStatsAreBigEndianU64InDeclarationOrder) {
+  // SosNode::save_state writes next_msg_num (u32), then every NodeStats
+  // counter as a big-endian u64 (util::Writer's byte order) in declaration
+  // order. The golden name list pins that order: a reordered or inserted
+  // counter fails here, not only on a resume of an older checkpoint.
+  const std::vector<std::string_view> checkpoint_order = {
+      "sessions_established",    "sessions_lost",          "full_handshakes",
+      "sessions_resumed",        "resume_attempts",        "resume_rejected",
+      "ecdh_ops",                "handshake_cert_rejected", "handshake_sig_rejected",
+      "frames_sent",             "frames_received",        "decrypt_failures",
+      "malformed_frames",        "bundles_sent",           "bundles_received",
+      "bundle_sig_rejected",     "bundle_cert_rejected",   "bundle_sig_cache_hits",
+      "bundle_sig_cache_misses", "bundle_batch_verifies",  "bundle_batch_fallbacks",
+      "duplicates_ignored",      "bundles_carried",        "deliveries",
+      "transfers_interrupted",   "published",              "reboots"};
+  std::vector<std::string_view> table_order;
+  for (const sm::StatsField& f : sm::kNodeStatsFields) table_order.push_back(f.name);
+  EXPECT_EQ(table_order, checkpoint_order);
+
+  // With counter i (by declaration) = i + 1, the table walks declaration
+  // order and the node writes and reads exactly those bytes.
+  constexpr std::size_t kCounters = std::size(sm::kNodeStatsFields);
+  std::array<std::uint64_t, kCounters> by_declaration{};
+  for (std::size_t i = 0; i < kCounters; ++i) by_declaration[i] = i + 1;
+  const auto numbered = std::bit_cast<sm::NodeStats>(by_declaration);
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    EXPECT_EQ(numbered.*sm::kNodeStatsFields[i].member, i + 1) << sm::kNodeStatsFields[i].name;
+  }
+
+  ss::Scheduler sched;
+  ss::MpcNetwork net(sched, 1);
+  sp::BootstrapService infra(su::to_bytes("layout-ca"));
+  sc::Drbg rng(su::to_bytes("dev-layout"));
+  auto creds = infra.signup("alice", rng, 0.0);
+  ASSERT_TRUE(creds);
+  sm::SosNode node(sched, net.endpoint(0), std::move(*creds), sm::SosConfig{});
+  node.start();
+  node.detach();
+  su::Writer w;
+  node.save_state(w);
+  su::Bytes blob = w.take();
+  constexpr std::size_t kStatsAt = 4;  // after next_msg_num
+  ASSERT_GE(blob.size(), kStatsAt + 8 * kCounters);
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      blob[kStatsAt + 8 * i + b] = static_cast<std::uint8_t>(by_declaration[i] >> (56 - 8 * b));
+    }
+  }
+  su::Reader r{su::ByteView(blob)};
+  ASSERT_TRUE(node.load_state(r));
+  EXPECT_TRUE(node.stats() == numbered);
+  su::Writer again;
+  node.save_state(again);
+  EXPECT_EQ(again.take(), blob);
+}
+
 // --- checkpoint/resume determinism pins -------------------------------------
 
 TEST(SoakResume, CheckpointResumeBitwiseIdenticalOnEveryEngine) {
   sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 1));
   auto world = sd::record_world(config);
   ASSERT_GT(world->trace.size(), 0u);
-  Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
-  ASSERT_GT(baseline.posts, 0u);
+  const sd::ScenarioResult baseline = sd::run_scenario(config, world.get());
+  ASSERT_GT(baseline.oracle.post_count(), 0u);
   for (const EngineOpt& e : all_engines()) {
     // One uninterrupted session equals run_scenario.
     sd::ReplaySession whole(config, *world, e.opt);
     whole.advance_to(whole.horizon());
-    EXPECT_EQ(baseline, fingerprint(whole.finish())) << e.name;
+    expect_same_result(baseline, whole.finish(), e.name);
 
     // Checkpoint at a mid-run quiescent cut, resume in a fresh session,
     // round-tripping the state through the full checkpoint codec.
@@ -268,14 +298,14 @@ TEST(SoakResume, CheckpointResumeBitwiseIdenticalOnEveryEngine) {
     su::Reader r{su::ByteView(decoded->payload)};
     ASSERT_TRUE(second.load_state(r)) << e.name;
     second.advance_to(second.horizon());
-    EXPECT_EQ(baseline, fingerprint(second.finish())) << e.name << " (resumed)";
+    expect_same_result(baseline, second.finish(), std::string(e.name) + " (resumed)");
   }
 }
 
 TEST(SoakResume, SegmentedAdvanceThroughEveryCutMatchesUninterrupted) {
   sd::ScenarioConfig config = small_config("epidemic", su::derive_seed(77, 2));
   auto world = sd::record_world(config);
-  Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
+  const sd::ScenarioResult baseline = sd::run_scenario(config, world.get());
   for (const EngineOpt& e :
        {EngineOpt{"mono", {}}, EngineOpt{"strand-j4", {.subepisode_jobs = 4}}}) {
     sd::ReplaySession session(config, *world, e.opt);
@@ -283,7 +313,7 @@ TEST(SoakResume, SegmentedAdvanceThroughEveryCutMatchesUninterrupted) {
     ASSERT_GE(cuts.size(), 2u) << e.name;
     for (su::SimTime cut : cuts) session.advance_to(cut);
     session.advance_to(session.horizon());
-    EXPECT_EQ(baseline, fingerprint(session.finish())) << e.name;
+    expect_same_result(baseline, session.finish(), e.name);
   }
 }
 
@@ -292,7 +322,7 @@ TEST(SoakResume, CheckpointCrossesEngines) {
   // node state is engine-agnostic.
   sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 3));
   auto world = sd::record_world(config);
-  Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
+  const sd::ScenarioResult baseline = sd::run_scenario(config, world.get());
 
   const EngineOpt mono{"mono", {}};
   const EngineOpt strand{"strand-j4", {.subepisode_jobs = 4}};
@@ -310,7 +340,7 @@ TEST(SoakResume, CheckpointCrossesEngines) {
     su::Reader r{su::ByteView(blob)};
     ASSERT_TRUE(reader.load_state(r)) << what;
     reader.advance_to(reader.horizon());
-    EXPECT_EQ(baseline, fingerprint(reader.finish())) << what;
+    expect_same_result(baseline, reader.finish(), what);
   }
 }
 
@@ -333,8 +363,8 @@ TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {
   EXPECT_FALSE(victim.load_state(r));
   EXPECT_EQ(victim.sim_time(), 0.0);
   victim.advance_to(victim.horizon());
-  Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
-  EXPECT_EQ(baseline, fingerprint(victim.finish()));
+  expect_same_result(sd::run_scenario(config, world.get()), victim.finish(),
+                     "rejected session run from scratch");
 }
 
 // --- soak runner ------------------------------------------------------------
@@ -356,18 +386,36 @@ TEST(SoakRunner, RunsToHorizonWithSnapshotsCheckpointsAndJsonl) {
   EXPECT_GE(result.checkpoints_written, 1u);
   EXPECT_TRUE(result.anomalies.empty());
   // The run's metrics equal the plain replay's.
-  EXPECT_EQ(fingerprint(sd::run_scenario(opts.config, world.get())),
-            fingerprint(result.scenario));
+  expect_same_result(sd::run_scenario(opts.config, world.get()), result.scenario,
+                     "soak run vs run_scenario");
 
   std::ifstream log(opts.jsonl_path);
   ASSERT_TRUE(log.good());
   std::string line;
   std::size_t snapshot_lines = 0;
   bool saw_result = false;
+  // A snapshot record's keys are "kind" plus exactly the snapshot metric
+  // names, each of which a --stop predicate resolves.
+  std::vector<std::string> metric_names{"kind"};
+  sk::for_each_metric(sk::MetricSnapshot{}, [&](std::string_view name, auto) {
+    metric_names.emplace_back(name);
+  });
   while (std::getline(log, line)) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
-    if (line.find("\"kind\":\"snapshot\"") != std::string::npos) ++snapshot_lines;
+    if (line.find("\"kind\":\"snapshot\"") != std::string::npos) {
+      ++snapshot_lines;
+      // Keys are the quoted strings followed by ':' (no value here holds a
+      // quote).
+      std::vector<std::string> keys;
+      for (std::size_t open = line.find('"'); open != std::string::npos;) {
+        std::size_t close = line.find('"', open + 1);
+        ASSERT_NE(close, std::string::npos) << line;
+        if (line[close + 1] == ':') keys.push_back(line.substr(open + 1, close - open - 1));
+        open = line.find('"', close + 1);
+      }
+      EXPECT_EQ(keys, metric_names);
+    }
     if (line.find("\"kind\":\"result\"") != std::string::npos) saw_result = true;
   }
   EXPECT_EQ(snapshot_lines, result.snapshots.size());
@@ -392,7 +440,7 @@ TEST(SoakRunner, ResumeFromStoredCheckpointMatchesUninterrupted) {
   ASSERT_TRUE(ckpt.has_value()) << error;
   sk::SoakResult resumed = sk::Runner(opts).resume(*world, *ckpt);
   EXPECT_TRUE(resumed.completed) << resumed.stop_reason;
-  EXPECT_EQ(fingerprint(full.scenario), fingerprint(resumed.scenario));
+  expect_same_result(full.scenario, resumed.scenario, "soak resume vs uninterrupted");
 }
 
 TEST(SoakRunner, ResumeRejectsForeignWorldCheckpoint) {
@@ -419,6 +467,73 @@ TEST(SoakRunner, MetricPredicateHaltsBeforeHorizon) {
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.stop_reason.rfind("predicate", 0), 0u) << result.stop_reason;
   EXPECT_LT(result.sim_time, su::days(opts.config.days));
+}
+
+TEST(SoakRunner, StopPredicatesResolveSnapshotNamesAndRejectUnknownOnes) {
+  sk::SoakOptions opts;
+  opts.config = small_config("interest", su::derive_seed(88, 5));
+  auto world = sd::record_world(opts.config);
+
+  // A NodeStats counter by its field name: it holds at the first snapshot
+  // of a run without churn.
+  opts.stop.predicates = {{"reboots", "<=", 0.0}};
+  sk::SoakResult hit = sk::Runner(opts).run(*world);
+  EXPECT_EQ(hit.stop_reason.rfind("predicate: reboots", 0), 0u) << hit.stop_reason;
+  EXPECT_EQ(hit.segments, 1u);
+
+  // An unknown name or op is rejected before anything replays.
+  for (const sk::StopPredicate& bad :
+       {sk::StopPredicate{"no_such_metric", ">=", 1.0}, sk::StopPredicate{"posts", "==", 1.0}}) {
+    opts.stop.predicates = {bad};
+    sk::SoakResult rejected = sk::Runner(opts).run(*world);
+    EXPECT_EQ(rejected.stop_reason.rfind("invalid-predicate:", 0), 0u) << rejected.stop_reason;
+    EXPECT_FALSE(rejected.completed);
+    EXPECT_EQ(rejected.segments, 0u);
+    EXPECT_EQ(rejected.sim_time, 0.0);
+    EXPECT_TRUE(rejected.snapshots.empty());
+  }
+}
+
+// --- metric snapshot --------------------------------------------------------
+
+TEST(SoakSnapshot, EveryMetricNameIsUniqueAndResolves) {
+  // Distinct values everywhere, so a name resolving to the wrong field shows.
+  sk::MetricSnapshot snap;
+  std::uint64_t next = 1;
+  for (const sm::StatsField& f : sm::kNodeStatsFields) snap.totals.*f.member = next++;
+  for (const sd::NetworkField& f : sd::kNetworkFields) snap.*f.member = next++;
+  snap.sim_time = 2.5 * 86400.0;
+  snap.segment = next++;
+  snap.posts = next++;
+  snap.store_bundles = next++;
+  snap.resume_cache_entries = next++;
+  snap.prophet_entries = next++;
+  snap.crl_entries = next++;
+  snap.rss_kb = next++;
+
+  std::set<std::string> names;
+  sk::for_each_metric(snap, [&](std::string_view name, auto value) {
+    EXPECT_TRUE(names.insert(std::string(name)).second) << "duplicate metric " << name;
+    double resolved = -1;
+    EXPECT_TRUE(sk::snapshot_metric(snap, name, &resolved)) << name;
+    EXPECT_EQ(resolved, static_cast<double>(value)) << name;
+  });
+  // Every counter is there under its field name, and the oracle copies are
+  // gone: "deliveries" is the middleware counter.
+  for (const sm::StatsField& f : sm::kNodeStatsFields) EXPECT_EQ(names.count(std::string(f.name)), 1u);
+  for (const sd::NetworkField& f : sd::kNetworkFields) EXPECT_EQ(names.count(std::string(f.name)), 1u);
+  EXPECT_EQ(names.count("carries"), 0u);
+  double deliveries = 0;
+  ASSERT_TRUE(sk::snapshot_metric(snap, "deliveries", &deliveries));
+  EXPECT_EQ(deliveries, static_cast<double>(snap.totals.deliveries));
+  double days = 0;
+  ASSERT_TRUE(sk::snapshot_metric(snap, "sim_days", &days));
+  EXPECT_DOUBLE_EQ(days, 2.5);
+  double unused = 0;
+  EXPECT_FALSE(sk::snapshot_metric(snap, "no_such_metric", &unused));
+  // The anomaly detector's watch lists name snapshot metrics.
+  for (std::string_view name : sk::AnomalyDetector::kRateWatch) EXPECT_EQ(names.count(std::string(name)), 1u) << name;
+  for (std::string_view name : sk::AnomalyDetector::kStallWatch) EXPECT_EQ(names.count(std::string(name)), 1u) << name;
 }
 
 // --- anomaly detector -------------------------------------------------------

@@ -13,12 +13,15 @@
 #include "deploy/replay.hpp"
 #include "deploy/report.hpp"
 #include "deploy/sweep.hpp"
+#include "result_eq.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
 
 namespace sd = sos::deploy;
 namespace ss = sos::sim;
 namespace su = sos::util;
+
+using sos::test::expect_same_result;
 
 namespace {
 /// Small-but-real grid: 2 worlds x 2 scheme variants, one simulated day.
@@ -40,38 +43,18 @@ std::vector<sd::SweepCell> tiny_grid() {
   return grid;
 }
 
-/// The metrics that must be bitwise identical across thread counts.
-struct Fingerprint {
-  std::size_t posts, deliveries;
-  std::uint64_t contacts, wire_frames, wire_bytes, connections;
-  std::uint64_t bundles_sent, sessions_established, full_handshakes, ecdh_ops;
-  std::string label;
-  std::uint64_t seed;
-  bool operator==(const Fingerprint&) const = default;
-};
-
-Fingerprint fingerprint(const sd::CellResult& r) {
-  return {r.result.oracle.post_count(),
-          r.result.oracle.delivery_count(),
-          r.result.contacts,
-          r.result.wire_frames,
-          r.result.wire_bytes,
-          r.result.connections,
-          r.result.totals.bundles_sent,
-          r.result.totals.sessions_established,
-          r.result.totals.full_handshakes,
-          r.result.totals.ecdh_ops,
-          r.label,
-          r.config.seed};
+/// Two sweep results of one grid slot agree: same label and derived seed,
+/// and the same run (tests/result_eq.hpp).
+void expect_same_cell(const sd::CellResult& a, const sd::CellResult& b) {
+  EXPECT_EQ(a.label, b.label);
+  EXPECT_EQ(a.config.seed, b.config.seed) << a.label;
+  expect_same_result(a.result, b.result, "cell/variant " + a.label);
 }
 
-std::vector<Fingerprint> run_with_jobs(std::size_t jobs) {
+std::vector<sd::CellResult> run_with_jobs(std::size_t jobs) {
   sd::SweepOptions opts;
   opts.jobs = jobs;
-  auto results = sd::SweepRunner(opts).run(tiny_grid());
-  std::vector<Fingerprint> fps;
-  for (const auto& r : results) fps.push_back(fingerprint(r));
-  return fps;
+  return sd::SweepRunner(opts).run(tiny_grid());
 }
 }  // namespace
 
@@ -79,12 +62,10 @@ TEST(Sweep, MetricsBitwiseIdenticalAtAnyThreadCount) {
   auto serial = run_with_jobs(1);
   auto parallel = run_with_jobs(4);
   ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << "cell/variant " << serial[i].label;
-  }
+  for (std::size_t i = 0; i < serial.size(); ++i) expect_same_cell(serial[i], parallel[i]);
   // The workload actually exercised something.
   std::uint64_t contacts = 0;
-  for (const auto& fp : serial) contacts += fp.contacts;
+  for (const sd::CellResult& r : serial) contacts += r.result.contacts;
   EXPECT_GT(contacts, 0u);
 }
 
@@ -115,11 +96,11 @@ TEST(Sweep, VariantsShareTheCellWorld) {
 }
 
 TEST(Sweep, DerivedSeedsDecorrelateCells) {
-  auto fps = run_with_jobs(1);
-  EXPECT_NE(fps[0].seed, fps[2].seed);  // different cells, different streams
-  EXPECT_NE(fps[0].seed, 42u);          // derived, not the raw base seed
-  EXPECT_EQ(su::derive_seed(42, 0), fps[0].seed);
-  EXPECT_EQ(su::derive_seed(42, 1), fps[2].seed);
+  auto results = run_with_jobs(1);
+  EXPECT_NE(results[0].config.seed, results[2].config.seed);  // different cells, different streams
+  EXPECT_NE(results[0].config.seed, 42u);  // derived, not the raw base seed
+  EXPECT_EQ(su::derive_seed(42, 0), results[0].config.seed);
+  EXPECT_EQ(su::derive_seed(42, 1), results[2].config.seed);
 }
 
 TEST(Sweep, DeriveSeedsOffKeepsConfiguredSeed) {
@@ -141,8 +122,7 @@ TEST(Sweep, ReplayOfRecordedWorldIsDeterministic) {
   EXPECT_GT(world->trace.size(), 0u);
   auto a = sd::run_scenario(config, world.get());
   auto b = sd::run_scenario(config, world.get());
-  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
-  EXPECT_EQ(a.oracle.delivery_count(), b.oracle.delivery_count());
+  expect_same_result(a, b, "replayed twice");
   EXPECT_EQ(a.contacts, world->trace.size());
 }
 
@@ -181,7 +161,7 @@ TEST(Sweep, SweepWideMemoScopeDoesNotChangeMetrics) {
   ASSERT_EQ(run_local.size(), sweep_wide.size());
   std::uint64_t deliveries = 0;
   for (std::size_t i = 0; i < run_local.size(); ++i) {
-    EXPECT_EQ(fingerprint(run_local[i]), fingerprint(sweep_wide[i])) << run_local[i].label;
+    expect_same_cell(run_local[i], sweep_wide[i]);
     deliveries += run_local[i].result.oracle.delivery_count();
   }
   EXPECT_GT(deliveries, 0u);
@@ -253,10 +233,7 @@ TEST(WorkerBudget, DonatedThreadsDoNotChangeSweepMetrics) {
   donate_opts.subepisode_jobs = 3;
   auto donated = sd::SweepRunner(donate_opts).run(grid);
   ASSERT_EQ(serial.size(), donated.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(fingerprint(serial[i]), fingerprint(donated[i]))
-        << serial[i].label;
-  }
+  for (std::size_t i = 0; i < serial.size(); ++i) expect_same_cell(serial[i], donated[i]);
 }
 
 // --- the scheduler invariant the sweep property rests on -------------------

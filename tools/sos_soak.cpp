@@ -10,7 +10,8 @@
 //   sos_soak --resume --checkpoint-dir ckpts --jsonl soak.jsonl
 //
 // Exit status: 0 = ran to its stop condition (horizon, predicate, wall
-// budget), 2 = halted on an anomaly, 1 = usage or I/O error.
+// budget), 2 = halted on an anomaly, 1 = usage or I/O error, a --stop
+// metric that is no snapshot metric name, or a rejected checkpoint.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,7 +40,8 @@ void usage() {
                "  --resume                resume from latest checkpoint in --checkpoint-dir\n"
                "  --jsonl PATH            append metric snapshots to this JSONL file\n"
                "  --wall-budget-s W       halt after W wall seconds (default unlimited)\n"
-               "  --stop EXPR             halt when EXPR holds, e.g. 'deliveries>=1000'\n"
+               "  --stop EXPR             halt when EXPR holds, e.g. 'deliveries>=1000';\n"
+               "                          any snapshot metric name (JSONL key) works\n"
                "  --min-gap-s G           minimum quiescent gap for a cut (default 60)\n"
                "  --no-anomaly            disable anomaly detection\n");
 }
@@ -189,20 +191,24 @@ int main(int argc, char** argv) {
               result.stop_reason.c_str(), result.sim_time / 86400.0,
               static_cast<unsigned long long>(result.segments),
               static_cast<unsigned long long>(result.checkpoints_written));
-  std::printf("sos_soak: posts=%zu deliveries=%zu sessions=%llu resumed=%llu "
-              "handshakes=%llu frames=%llu\n",
-              result.scenario.oracle.posts().size(),
-              result.scenario.oracle.deliveries().size(),
-              static_cast<unsigned long long>(result.scenario.totals.sessions_established),
-              static_cast<unsigned long long>(result.scenario.totals.sessions_resumed),
-              static_cast<unsigned long long>(result.scenario.totals.full_handshakes),
-              static_cast<unsigned long long>(result.scenario.totals.frames_sent));
+  // Final counters, named as in the JSONL log and --stop.
+  if (!result.snapshots.empty()) {
+    std::printf("sos_soak:");
+    for (const char* name : {"posts", "deliveries", "sessions_established", "sessions_resumed",
+                             "full_handshakes", "frames_sent"}) {
+      double v = 0;
+      soak::snapshot_metric(result.snapshots.back(), name, &v);
+      std::printf(" %s=%.0f", name, v);
+    }
+    std::printf("\n");
+  }
   for (const soak::Anomaly& a : result.anomalies) {
     std::fprintf(stderr, "sos_soak: ANOMALY [%s/%s] %s\n", a.kind.c_str(), a.metric.c_str(),
                  a.detail.c_str());
   }
   if (!result.anomalies.empty()) return 2;
-  if (result.stop_reason.rfind("resume-rejected", 0) == 0) {
+  if (result.stop_reason.rfind("resume-rejected", 0) == 0 ||
+      result.stop_reason.rfind("invalid-predicate", 0) == 0) {
     std::fprintf(stderr, "sos_soak: %s\n", result.stop_reason.c_str());
     return 1;
   }
