@@ -213,6 +213,25 @@ static void BM_StoreChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreChurn)->Arg(2000);
 
+static void BM_StoreExpire(benchmark::State& state) {
+  // One maintenance tick's expire() on a 2,000-bundle store where nothing is
+  // due: /0 holds lifetime-0 bundles (never expire, the default config), /1
+  // bundles with a lifetime far beyond the clock. The deadline index makes
+  // both a single look at its front, flat in store size.
+  bundle::BundleStore store(100000);
+  auto uid = pki::user_id_from_name("keeper");
+  for (std::uint32_t num = 1; num <= 2000; ++num) {
+    bundle::Bundle b;
+    b.origin = uid;
+    b.msg_num = num;
+    b.creation_ts = static_cast<double>(num);
+    b.lifetime_s = state.range(0) == 0 ? 0 : 1000000;
+    store.insert(std::move(b), 0);
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(store.expire(600.0));
+}
+BENCHMARK(BM_StoreExpire)->Arg(0)->Arg(1);
+
 static void BM_DensityCell(benchmark::State& state) {
   // End-to-end recurring-pair-heavy scenario (the ablation_density session
   // churn sweep): a dense 7-day epidemic deployment with almost no content,

@@ -1,27 +1,42 @@
-// Simulator microbenchmarks: event engine throughput, mobility position
-// lookups, and grid-accelerated encounter scans at simulation-scale node
-// counts (the density ablation's inner loop).
+// Simulator microbenchmarks: event engine throughput (bare and
+// frame-carrying events), mobility position lookups, and grid-accelerated
+// encounter scans at simulation-scale node counts (the density ablation's
+// inner loop).
 #include <benchmark/benchmark.h>
 
 #include "sim/mobility.hpp"
 #include "sim/radio.hpp"
 #include "sim/scheduler.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 using namespace sos;
 
 static void BM_SchedulerThroughput(benchmark::State& state) {
+  // /0: bare events. /512: each event owns a 512-byte frame and reads it
+  // when it fires, as a radio delivery does (the receiver decrypts every
+  // byte) — what moving (not copying) events on pop is worth.
+  const auto frame_bytes = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::Scheduler sched;
-    int count = 0;
-    for (int i = 0; i < 10000; ++i)
-      sched.schedule_at(static_cast<double>(i % 97), [&count] { ++count; });
+    std::size_t count = 0;
+    for (int i = 0; i < 10000; ++i) {
+      if (frame_bytes == 0) {
+        sched.schedule_at(static_cast<double>(i % 97), [&count] { ++count; });
+      } else {
+        util::Bytes frame(frame_bytes, static_cast<std::uint8_t>(i));
+        sched.schedule_at(static_cast<double>(i % 97),
+                          [&count, frame = std::move(frame)] {
+                            for (std::uint8_t byte : frame) count += byte;
+                          });
+      }
+    }
     sched.run_all();
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * 10000);
 }
-BENCHMARK(BM_SchedulerThroughput);
+BENCHMARK(BM_SchedulerThroughput)->Arg(0)->Arg(512);
 
 static void BM_MobilityPositionLookup(benchmark::State& state) {
   util::Rng rng(1);

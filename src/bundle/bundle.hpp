@@ -51,9 +51,11 @@ struct Bundle {
   void sign(const crypto::Ed25519Keypair& origin_keys);
   bool verify(const crypto::EdPublicKey& origin_key) const;
 
-  bool expired(util::SimTime now) const {
-    return lifetime_s > 0 && now > creation_ts + static_cast<double>(lifetime_s);
-  }
+  /// Expiry deadline; meaningful only when lifetime_s > 0. The store keys
+  /// its expiry index on this exact value, so index order and expired()
+  /// can never disagree.
+  util::SimTime expires_at() const { return creation_ts + static_cast<double>(lifetime_s); }
+  bool expired(util::SimTime now) const { return lifetime_s > 0 && now > expires_at(); }
   bool is_unicast() const { return !dest.is_zero(); }
 
   util::Bytes encode() const;

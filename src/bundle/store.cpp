@@ -16,6 +16,7 @@ bool BundleStore::insert(Bundle b, util::SimTime now) {
   stored.hops_on_arrival = stored.bundle.hop_count;
   if (stored.bundle.is_unicast()) ++unicast_count_;
   by_creation_.emplace(stored.bundle.creation_ts, id);
+  if (stored.bundle.lifetime_s > 0) by_expiry_.emplace(stored.bundle.expires_at(), id);
   bundles_.emplace(id, std::move(stored));
   auto& held = summary_[id.origin];
   if (id.msg_num > held) held = id.msg_num;
@@ -52,8 +53,9 @@ void BundleStore::refresh_summary(const pki::UserId& origin) {
   summary_.erase(origin);
 }
 
-void BundleStore::on_removed(const StoredBundle& stored) {
+void BundleStore::on_removed(const BundleId& id, const StoredBundle& stored) {
   if (stored.bundle.is_unicast()) --unicast_count_;
+  if (stored.bundle.lifetime_s > 0) by_expiry_.erase({stored.bundle.expires_at(), id});
 }
 
 std::vector<Bundle> BundleStore::newer_than(const pki::UserId& origin,
@@ -78,17 +80,17 @@ std::vector<const StoredBundle*> BundleStore::all() const {
 
 std::size_t BundleStore::expire(util::SimTime now) {
   std::size_t removed = 0;
-  for (auto it = bundles_.begin(); it != bundles_.end();) {
-    if (it->second.bundle.expired(now)) {
-      pki::UserId origin = it->first.origin;
-      by_creation_.erase({it->second.bundle.creation_ts, it->first});
-      on_removed(it->second);
-      it = bundles_.erase(it);
-      refresh_summary(origin);
-      ++removed;
-    } else {
-      ++it;
-    }
+  // The deadline index holds exactly the bundles with a lifetime, keyed on
+  // the value Bundle::expired compares against, so its due prefix is
+  // exactly the set of expired bundles.
+  while (!by_expiry_.empty() && now > by_expiry_.begin()->first) {
+    BundleId id = by_expiry_.begin()->second;
+    auto it = bundles_.find(id);
+    by_creation_.erase({it->second.bundle.creation_ts, id});
+    on_removed(id, it->second);
+    bundles_.erase(it);
+    refresh_summary(id.origin);
+    ++removed;
   }
   return removed;
 }
@@ -97,7 +99,7 @@ void BundleStore::remove(const BundleId& id) {
   auto it = bundles_.find(id);
   if (it == bundles_.end()) return;
   by_creation_.erase({it->second.bundle.creation_ts, id});
-  on_removed(it->second);
+  on_removed(id, it->second);
   bundles_.erase(it);
   refresh_summary(id.origin);
 }
@@ -119,6 +121,7 @@ bool BundleStore::load_state(util::Reader& r) {
   std::uint64_t n = r.varint();
   std::map<BundleId, StoredBundle> bundles;
   std::set<std::pair<util::SimTime, BundleId>> by_creation;
+  std::set<std::pair<util::SimTime, BundleId>> by_expiry;
   std::map<pki::UserId, std::uint32_t> summary;
   std::size_t unicast = 0;
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
@@ -129,8 +132,12 @@ bool BundleStore::load_state(util::Reader& r) {
     auto b = Bundle::decode(enc);
     if (!b) return false;
     BundleId id = b->id();
+    // save_state never writes an id twice; a payload that does is corrupt,
+    // and admitting it would leave index entries for a bundle not held.
+    if (bundles.count(id) > 0) return false;
     if (b->is_unicast()) ++unicast;
     by_creation.emplace(b->creation_ts, id);
+    if (b->lifetime_s > 0) by_expiry.emplace(b->expires_at(), id);
     auto& held = summary[id.origin];
     if (id.msg_num > held) held = id.msg_num;
     bundles.emplace(id, StoredBundle{std::move(*b), received_at, hops});
@@ -140,6 +147,7 @@ bool BundleStore::load_state(util::Reader& r) {
   if (!r.ok()) return false;
   bundles_ = std::move(bundles);
   by_creation_ = std::move(by_creation);
+  by_expiry_ = std::move(by_expiry);
   summary_ = std::move(summary);
   unicast_count_ = unicast;
   evicted_ = evicted;
@@ -155,7 +163,7 @@ void BundleStore::evict_if_needed() {
     auto it = bundles_.find(oldest->second);
     pki::UserId origin = oldest->second.origin;
     if (it != bundles_.end()) {
-      on_removed(it->second);
+      on_removed(it->first, it->second);
       bundles_.erase(it);
     }
     by_creation_.erase(oldest);

@@ -3,6 +3,10 @@
 // (UserID -> latest MessageNumber, Fig 2b) and "everything from user U
 // newer than sequence N" (the request a browsing node sends). Handles
 // duplicate suppression, TTL expiry and capacity eviction.
+//
+// Every maintenance path costs what it removes: eviction pops the
+// creation-time index and expiry pops the deadline index, so a tick on which
+// nothing is due is O(1) whatever the store holds.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +59,9 @@ class BundleStore {
   /// Every held bundle (routing schemes iterate for forwarding decisions).
   std::vector<const StoredBundle*> all() const;
 
-  /// Drop bundles whose lifetime elapsed; returns number removed.
+  /// Drop bundles whose lifetime elapsed; returns number removed. Pops the
+  /// deadline index in deadline order, so it touches only the bundles it
+  /// removes (plus one look at the next deadline).
   std::size_t expire(util::SimTime now);
 
   void remove(const BundleId& id);
@@ -68,14 +74,15 @@ class BundleStore {
   void clear() {
     bundles_.clear();
     by_creation_.clear();
+    by_expiry_.clear();
     summary_.clear();
     unicast_count_ = 0;
   }
 
   /// Checkpoint contents + lifetime counters (capacity is configuration and
   /// stays with the owner). load_state rebuilds every secondary index from
-  /// the serialized bundles; on malformed input it returns false leaving
-  /// the store untouched.
+  /// the serialized bundles; on malformed input (including a bundle id that
+  /// appears twice) it returns false leaving the store untouched.
   void save_state(util::Writer& w) const;
   bool load_state(util::Reader& r);
 
@@ -85,12 +92,19 @@ class BundleStore {
   /// BundleId ordering is (origin, msg_num), so the surviving max is the
   /// last element of the origin's range).
   void refresh_summary(const pki::UserId& origin);
-  void on_removed(const StoredBundle& stored);
+  /// Index upkeep shared by every removal path (remove, eviction, expiry)
+  /// except the by_creation_ erase, which eviction does by iterator.
+  void on_removed(const BundleId& id, const StoredBundle& stored);
 
   std::map<BundleId, StoredBundle> bundles_;
   // Secondary index ordered by creation time: drop-head eviction pops the
   // oldest bundle in O(log n) instead of scanning the whole store.
   std::set<std::pair<util::SimTime, BundleId>> by_creation_;
+  // Secondary index ordered by expiry deadline (Bundle::expired's
+  // creation_ts + lifetime_s). Only bundles with a lifetime are in it:
+  // lifetime-0 bundles never expire and cost nothing here. Derived state —
+  // rebuilt by load_state, never serialized.
+  std::set<std::pair<util::SimTime, BundleId>> by_expiry_;
   std::map<pki::UserId, std::uint32_t> summary_;
   std::size_t unicast_count_ = 0;
   std::size_t capacity_;

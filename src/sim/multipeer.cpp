@@ -199,7 +199,7 @@ void MpcNetwork::do_send(PeerId from, PeerId to, util::Bytes frame) {
   ++l.in_flight;
 
   std::uint64_t generation = l.generation;
-  sched_.schedule_at(deliver_at, [this, from, to, generation, frame = std::move(frame)] {
+  sched_.schedule_at(deliver_at, [this, from, to, generation, frame = std::move(frame)]() mutable {
     Link& cur = link(from, to);
     // A stale generation means the session died mid-transfer; the loss was
     // already counted (and in_flight zeroed) when the session dropped, so a
@@ -209,7 +209,7 @@ void MpcNetwork::do_send(PeerId from, PeerId to, util::Bytes frame) {
     --cur.in_flight;
     ++frames_delivered_;
     MpcEndpoint& dst = endpoints_[to];
-    if (dst.on_receive) dst.on_receive(from, frame);
+    if (dst.on_receive) dst.on_receive(from, std::move(frame));
   });
 }
 

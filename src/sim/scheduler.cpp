@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace sos::sim {
@@ -11,7 +12,8 @@ EventId Scheduler::schedule_at(util::SimTime t, EventFn fn) {
   // armed-check in the middleware silently breaks (reachable only after a
   // 2^64 id wraparound, i.e. never in practice — hence an assert, not a throw).
   assert(id != kInvalidEventId && "EventId counter wrapped onto the sentinel");
-  queue_.push(Event{t, id, std::move(fn)});
+  queue_.push_back(Event{t, id, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
   queued_.insert(id);
   return id;
 }
@@ -28,8 +30,9 @@ void Scheduler::cancel(EventId id) {
 
 bool Scheduler::step() {
   while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
     queued_.erase(ev.id);
     if (cancelled_.erase(ev.id) > 0) continue;
     now_ = ev.at;
@@ -41,13 +44,14 @@ bool Scheduler::step() {
 
 void Scheduler::run_until(util::SimTime t) {
   while (!queue_.empty()) {
-    const Event& top = queue_.top();
+    const Event& top = queue_.front();
     // Discard cancelled heads here rather than via step(): step() skips
     // cancelled events internally and would otherwise run the next LIVE
     // event even when it lies beyond t.
     if (cancelled_.erase(top.id) > 0) {
       queued_.erase(top.id);
-      queue_.pop();
+      std::pop_heap(queue_.begin(), queue_.end(), Later{});
+      queue_.pop_back();
       continue;
     }
     if (top.at > t) break;

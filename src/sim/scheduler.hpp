@@ -4,6 +4,12 @@
 // runs deterministic — the invariant every sweep- and replay-determinism
 // guarantee in this repo rests on.
 //
+// Events only ever move: the queue is a binary heap over a plain vector
+// (push_heap/pop_heap) and step() moves the popped event out of its back, so
+// a callable's captures (a frame's bytes, for a radio delivery) are never
+// copied between schedule and fire. (at, id) is a strict total order, so the
+// pop sequence is fully determined by the events scheduled.
+//
 // A run need not use a single scheduler for its whole lifetime: the replay
 // engine (deploy/replay.hpp) runs each task of its contact-strand DAG
 // (sim/subepisode.hpp) on its own scheduler shard, constructed at the
@@ -14,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -72,11 +77,12 @@ class Scheduler {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // Binary heap under Later: queue_.front() is the next event to fire.
+  std::vector<Event> queue_;
   // sos-lint audit (unordered-iteration): both sets are membership-only
   // (contains/insert/erase); event order comes solely from the
-  // (time, id)-ordered priority queue above, so hash order never leaks
-  // into the trace.
+  // (time, id)-ordered heap above, so hash order never leaks into the
+  // trace.
   std::unordered_set<EventId> queued_;     // ids currently in the queue
   std::unordered_set<EventId> cancelled_;  // subset of queued_
   util::SimTime now_ = 0.0;

@@ -1,11 +1,17 @@
 // Bundle and store tests: wire round trips, signature semantics (hop count
 // mutable, content immutable), TTL expiry, duplicate suppression, capacity
-// eviction, and the two protocol queries (summary / newer_than).
+// eviction, and the two protocol queries (summary / newer_than). A seeded
+// model test drives the indexed store against a brute-force reference that
+// scans the whole store on every expiry and eviction.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <tuple>
 
 #include "bundle/bundle.hpp"
 #include "bundle/store.hpp"
 #include "crypto/drbg.hpp"
+#include "util/codec.hpp"
 #include "util/rng.hpp"
 
 namespace sb = sos::bundle;
@@ -215,6 +221,37 @@ TEST(Store, GetAndRemove) {
   EXPECT_FALSE(store.get({sp::user_id_from_name("alice"), 1}).has_value());
 }
 
+TEST(Store, LoadStateRejectsDuplicateBundleId) {
+  // A checkpoint payload carrying the same (origin, msg_num) twice is
+  // corrupt: save_state writes each held bundle once. Admitting it used to
+  // keep the first copy but index the second's creation time too, so a
+  // later eviction could pick a bundle by a creation time it does not have.
+  auto first = make_bundle("alice", 1, 500.0);
+  auto twin = make_bundle("alice", 1, 10.0);
+  twin.lifetime_s = 60;
+  twin.sign(keys_for("alice"));
+  su::Writer w;
+  w.varint(2);
+  for (const auto* b : {&first, &twin}) {
+    w.bytes(b->encode());
+    w.f64(0.0);
+    w.u8(0);
+  }
+  w.u64(0);
+  w.u64(0);
+  auto payload = w.take();
+
+  sb::BundleStore store(1);
+  store.insert(make_bundle("bob", 7, 300.0), 1.0);
+  su::Reader r(payload);
+  EXPECT_FALSE(store.load_state(r));
+  // Untouched: still exactly the one bundle it held before the call.
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_TRUE(store.contains({sp::user_id_from_name("bob"), 7}));
+  EXPECT_FALSE(store.contains({sp::user_id_from_name("alice"), 1}));
+  EXPECT_EQ(store.summary().size(), 1u);
+}
+
 TEST(Store, AllIteratesEverything) {
   sb::BundleStore store;
   for (std::uint32_t i = 1; i <= 5; ++i) store.insert(make_bundle("alice", i), 7.0);
@@ -222,3 +259,134 @@ TEST(Store, AllIteratesEverything) {
   EXPECT_EQ(all.size(), 5u);
   for (const auto* s : all) EXPECT_DOUBLE_EQ(s->received_at, 7.0);
 }
+
+// --- randomized model ----------------------------------------------------
+
+namespace {
+/// Brute-force reference store: no secondary index, every query a scan.
+/// expire() is the whole-store walk the indexed store replaced.
+struct ModelStore {
+  struct Held {
+    sb::Bundle bundle;
+    double received_at;
+  };
+  std::size_t capacity;
+  std::map<sb::BundleId, Held> held;
+  std::uint64_t evicted = 0;
+  std::uint64_t duplicates = 0;
+
+  bool insert(const sb::Bundle& b, double now) {
+    if (held.count(b.id()) > 0) {
+      ++duplicates;
+      return false;
+    }
+    held.emplace(b.id(), Held{b, now});
+    while (held.size() > capacity) {
+      auto oldest = held.begin();
+      for (auto it = held.begin(); it != held.end(); ++it) {
+        if (std::tie(it->second.bundle.creation_ts, it->first) <
+            std::tie(oldest->second.bundle.creation_ts, oldest->first))
+          oldest = it;
+      }
+      held.erase(oldest);
+      ++evicted;
+    }
+    return true;
+  }
+  std::size_t expire(double now) {
+    std::size_t removed = 0;
+    for (auto it = held.begin(); it != held.end();) {
+      if (it->second.bundle.expired(now)) {
+        it = held.erase(it);
+        ++removed;
+      } else {
+        ++it;
+      }
+    }
+    return removed;
+  }
+  std::map<sp::UserId, std::uint32_t> summary() const {
+    std::map<sp::UserId, std::uint32_t> out;
+    for (const auto& [id, h] : held) out[id.origin] = std::max(out[id.origin], id.msg_num);
+    return out;
+  }
+  std::size_t unicast_count() const {
+    std::size_t n = 0;
+    for (const auto& [id, h] : held) n += h.bundle.is_unicast() ? 1 : 0;
+    return n;
+  }
+};
+
+void expect_matches(const sb::BundleStore& store, const ModelStore& model) {
+  ASSERT_EQ(store.size(), model.held.size());
+  auto all = store.all();
+  auto it = model.held.begin();
+  for (const auto* s : all) {
+    ASSERT_EQ(s->bundle.id(), it->first);
+    EXPECT_EQ(s->bundle.encode(), it->second.bundle.encode());
+    EXPECT_EQ(s->received_at, it->second.received_at);
+    EXPECT_EQ(s->hops_on_arrival, it->second.bundle.hop_count);
+    ++it;
+  }
+  EXPECT_EQ(store.summary(), model.summary());
+  EXPECT_EQ(store.unicast_count(), model.unicast_count());
+  EXPECT_EQ(store.evicted_count(), model.evicted);
+  EXPECT_EQ(store.duplicate_count(), model.duplicates);
+}
+}  // namespace
+
+class StoreModel : public ::testing::TestWithParam<int> {};
+
+TEST_P(StoreModel, IndexedStoreMatchesBruteForceModel) {
+  su::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
+  const std::size_t capacity = 4 + rng.below(12);
+  sb::BundleStore store(capacity);
+  ModelStore model{capacity, {}};
+  const sp::UserId users[] = {sp::user_id_from_name("u0"), sp::user_id_from_name("u1"),
+                              sp::user_id_from_name("u2"), sp::user_id_from_name("u3")};
+  double now = 0.0;
+  std::size_t expired = 0;
+  for (int step = 0; step < 600; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::uint64_t op = rng.below(100);
+    if (op < 55) {
+      // Small id space so duplicates are common; whole-second creation
+      // times around the clock so creation and deadline ties are too.
+      sb::Bundle b;
+      b.origin = users[rng.below(4)];
+      b.msg_num = static_cast<std::uint32_t>(1 + rng.below(24));
+      b.creation_ts = now + static_cast<double>(rng.below(400)) - 300.0;
+      b.lifetime_s = rng.chance(0.4) ? 0 : static_cast<std::uint32_t>(1 + rng.below(300));
+      if (rng.chance(0.2)) b.dest = users[rng.below(4)];
+      b.hop_count = static_cast<std::uint8_t>(rng.below(5));
+      EXPECT_EQ(store.insert(b, now), model.insert(b, now));
+    } else if (op < 80) {
+      now += static_cast<double>(rng.below(40));
+      std::size_t removed = model.expire(now);
+      EXPECT_EQ(store.expire(now), removed);
+      expired += removed;
+    } else if (op < 90) {
+      sb::BundleId id{users[rng.below(4)], static_cast<std::uint32_t>(1 + rng.below(24))};
+      store.remove(id);
+      model.held.erase(id);
+    } else if (op < 93) {
+      store.clear();
+      model.held.clear();
+    } else {
+      su::Writer w;
+      store.save_state(w);
+      auto bytes = w.take();
+      sb::BundleStore restored(capacity);
+      su::Reader r(bytes);
+      ASSERT_TRUE(restored.load_state(r));
+      store = std::move(restored);
+    }
+    expect_matches(store, model);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Every seed must have exercised both removal paths the indices serve.
+  EXPECT_GT(expired, 0u);
+  EXPECT_GT(model.evicted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StoreModel, ::testing::Range(0, 16));
