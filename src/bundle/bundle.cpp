@@ -1,5 +1,7 @@
 #include "bundle/bundle.hpp"
 
+#include <cmath>
+
 #include "util/codec.hpp"
 
 namespace sos::bundle {
@@ -45,6 +47,11 @@ std::optional<Bundle> Bundle::decode(util::ByteView data) {
   b.origin.bytes = r.raw_array<pki::kUserIdSize>();
   b.msg_num = r.u32();
   b.creation_ts = r.f64();
+  // The store orders bundles by creation time (drop-head eviction) and by
+  // creation time + lifetime (expiry). A NaN would break both orders and an
+  // infinity would pin a bundle in the store forever; the signature covers
+  // the field, so only its origin could have set it.
+  if (!std::isfinite(b.creation_ts)) return std::nullopt;
   b.lifetime_s = r.u32();
   auto content = r.u8();
   if (content > static_cast<std::uint8_t>(ContentType::ControlAction)) return std::nullopt;

@@ -86,6 +86,10 @@ std::size_t BundleStore::expire(util::SimTime now) {
   while (!by_expiry_.empty() && now > by_expiry_.begin()->first) {
     BundleId id = by_expiry_.begin()->second;
     auto it = bundles_.find(id);
+    if (it == bundles_.end()) {
+      by_expiry_.erase(by_expiry_.begin());
+      continue;
+    }
     by_creation_.erase({it->second.bundle.creation_ts, id});
     on_removed(id, it->second);
     bundles_.erase(it);

@@ -103,7 +103,9 @@ class BundleStore {
   // Secondary index ordered by expiry deadline (Bundle::expired's
   // creation_ts + lifetime_s). Only bundles with a lifetime are in it:
   // lifetime-0 bundles never expire and cost nothing here. Derived state —
-  // rebuilt by load_state, never serialized.
+  // rebuilt by load_state, never serialized. Both indexes need finite
+  // keys; Bundle::decode refuses a non-finite creation_ts, so no bundle
+  // from a peer or a checkpoint can carry a NaN into them.
   std::set<std::pair<util::SimTime, BundleId>> by_expiry_;
   std::map<pki::UserId, std::uint32_t> summary_;
   std::size_t unicast_count_ = 0;

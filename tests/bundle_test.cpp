@@ -5,6 +5,7 @@
 // scans the whole store on every expiry and eviction.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <tuple>
 
@@ -67,6 +68,19 @@ TEST(Bundle, DecodeRejectsBadContentType) {
   // content type byte sits after origin(10) + msg_num(4) + ts(8) + lifetime(4)
   enc[26] = 0x7F;
   EXPECT_FALSE(sb::Bundle::decode(enc).has_value());
+}
+
+TEST(Bundle, DecodeRejectsNonFiniteCreationTime) {
+  // The store orders bundles by creation time and by deadline; a NaN would
+  // break both orders. The origin signs the field, so the check is at decode.
+  for (double ts : {std::numeric_limits<double>::quiet_NaN(),
+                    std::numeric_limits<double>::infinity(),
+                    -std::numeric_limits<double>::infinity()}) {
+    auto b = make_bundle("mallory", 1, ts);
+    b.lifetime_s = 60;
+    b.sign(keys_for("mallory"));
+    EXPECT_FALSE(sb::Bundle::decode(b.encode()).has_value()) << ts;
+  }
 }
 
 TEST(Bundle, SignatureVerifies) {
@@ -250,6 +264,30 @@ TEST(Store, LoadStateRejectsDuplicateBundleId) {
   EXPECT_TRUE(store.contains({sp::user_id_from_name("bob"), 7}));
   EXPECT_FALSE(store.contains({sp::user_id_from_name("alice"), 1}));
   EXPECT_EQ(store.summary().size(), 1u);
+}
+
+TEST(Store, LoadStateRejectsNonFiniteCreationTime) {
+  // A checkpoint carrying a NaN-stamped bundle fails to load and leaves the
+  // store as it was: load_state decodes bundles with Bundle::decode.
+  auto nan_stamped = make_bundle("mallory", 1, std::numeric_limits<double>::quiet_NaN());
+  nan_stamped.lifetime_s = 60;
+  nan_stamped.sign(keys_for("mallory"));
+  su::Writer w;
+  w.varint(1);
+  w.bytes(nan_stamped.encode());
+  w.f64(0.0);
+  w.u8(0);
+  w.u64(0);
+  w.u64(0);
+  auto payload = w.take();
+
+  sb::BundleStore store;
+  store.insert(make_bundle("bob", 7, 300.0), 1.0);
+  su::Reader r(payload);
+  EXPECT_FALSE(store.load_state(r));
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_TRUE(store.contains({sp::user_id_from_name("bob"), 7}));
+  EXPECT_FALSE(store.contains({sp::user_id_from_name("mallory"), 1}));
 }
 
 TEST(Store, AllIteratesEverything) {

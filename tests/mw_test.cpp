@@ -5,6 +5,7 @@
 // security gates (tampered bundles, revoked certs, eavesdroppers).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -295,6 +296,28 @@ TEST(MwSecurity, ImpersonatedOriginIsRejected) {
   // A forwarder with no certificate for the claimed origin cannot even
   // transmit: provenance is required to forward (Fig 3b).
   EXPECT_FALSE(bed.node(2).store().contains({bed.uid(0), 2}));
+}
+
+TEST(MwSecurity, NanStampedBundleFromPeerIsDropped) {
+  // An enrolled user signs a bundle whose creation time is NaN, with a
+  // lifetime. Receivers must drop it as malformed: stored, it would key the
+  // store's creation-time and deadline indexes on NaN.
+  Testbed bed(2, "epidemic");
+  bed.node(1).follow(bed.uid(0));
+  sb::Bundle b;
+  b.origin = bed.uid(0);
+  b.msg_num = 1;
+  b.creation_ts = std::numeric_limits<double>::quiet_NaN();
+  b.lifetime_s = 3600;
+  b.payload = su::to_bytes("never expires");
+  b.sign(bed.node(0).credentials().signing_keypair);
+  bed.node(0).store().insert(b, bed.sched.now());
+  bed.node(0).routing().refresh_advertisement();
+
+  bed.meet(0, 1);
+  EXPECT_TRUE(bed.received[1].empty());
+  EXPECT_FALSE(bed.node(1).store().contains({bed.uid(0), 1}));
+  EXPECT_GE(bed.node(1).stats().malformed_frames, 1u);
 }
 
 TEST(MwSecurity, DirectMessageIsEndToEndEncrypted) {
