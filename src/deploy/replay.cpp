@@ -270,7 +270,7 @@ void run_task(const EngineState& st, std::size_t ti) {
   // run_until returns. A scheduled detach event would be unsound here —
   // contact teardown cascades through zero-delay events (drop_session
   // notifies on_disconnected via schedule_in(0), which triggers the session
-  // drop and the adaptive verify flush), and those land *behind* any
+  // drop and the verify-queue flush), and those land *behind* any
   // pre-scheduled event at the same timestamp. run_until(t) drains every
   // cascade at t first — so by the time a member detaches, its sessions
   // have already died the same death (and flushed the same queues) as on one

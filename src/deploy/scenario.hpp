@@ -56,15 +56,11 @@ struct ScenarioConfig {
   double resume_lifetime_s = 86400.0;
 
   /// Batch-verification window handed to each node's SosConfig: > 0 queues
-  /// received bundles this many sim-seconds and verifies them in one batch
-  /// signature pass (throughput up, dissemination latency up by up to the
-  /// window); 0 verifies synchronously.
+  /// received bundles and verifies them in one batch signature pass at
+  /// most this many sim-seconds later, or earlier when their session drops
+  /// (dissemination latency up by up to the window); 0 verifies
+  /// synchronously.
   double verify_batch_window_s = 0.0;
-
-  /// Adaptive flushing for that window: a peer's queued entries flush when
-  /// its session drops (and on store pressure) instead of dying with the
-  /// transfer — the batched passes without the dense-cell delivery loss.
-  bool verify_batch_adaptive = false;
 
   /// Disaster fault-injection plan (sim/faults.hpp): degraded links, node
   /// churn, partition-and-heal timelines, adversarial roles. Default (no

@@ -32,7 +32,6 @@ ScenarioConfig variant_config(const SweepCell& cell, const ScenarioVariant& v,
   config.scheme = v.scheme;
   config.resume_lifetime_s = v.resume_lifetime_s;
   config.verify_batch_window_s = v.verify_batch_window_s;
-  config.verify_batch_adaptive = v.verify_batch_adaptive;
   config.verify_signatures = v.verify_signatures;
   if (v.faults) config.faults = *v.faults;
   return config;

@@ -32,9 +32,6 @@ struct ScenarioVariant {
   std::string scheme = "interest";
   double resume_lifetime_s = 86400.0;
   double verify_batch_window_s = 0.0;
-  /// Flush queued verifications on session drop / store pressure instead
-  /// of waiting out the window (ScenarioConfig::verify_batch_adaptive).
-  bool verify_batch_adaptive = false;
   /// Bundle-signature verification on delivery/forwarding paths (the
   /// signed-vs-unsigned disaster ablation). Handshake authentication is
   /// never ablated.

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <set>
 
 #include "crypto/aead.hpp"
 #include "crypto/hkdf.hpp"
@@ -77,8 +78,8 @@ void AdHocManager::start() {
 }
 
 void AdHocManager::drop_live_sessions() {
-  // Collect first: on_session_down handlers may re-enter (the adaptive
-  // verify flush delivers bundles, which can touch the session map).
+  // Collect first: on_session_down handlers may re-enter (the verify-queue
+  // flush delivers bundles, which can touch the session map).
   std::vector<sim::PeerId> secure;
   for (const auto& [peer, session] : sessions_)
     if (session.secure) secure.push_back(peer);
@@ -617,27 +618,6 @@ void AdHocManager::handle_receive(sim::PeerId peer, util::Bytes wire) {
   if (on_frame) on_frame(peer, type, std::move(payload));
 }
 
-AdHocManager::VerifyDigest AdHocManager::verify_digest(util::ByteView bundle_signed,
-                                                       const crypto::EdSignature& bundle_sig,
-                                                       util::ByteView cert_signed,
-                                                       const crypto::EdSignature& cert_sig) {
-  // Unambiguous: both signing_bytes encodings are fixed-layout with
-  // length-prefixed fields, and the signatures are fixed-size.
-  crypto::Sha256 h;
-  h.update(bundle_signed);
-  h.update(util::ByteView(bundle_sig.data(), bundle_sig.size()));
-  h.update(cert_signed);
-  h.update(util::ByteView(cert_sig.data(), cert_sig.size()));
-  return h.finish();
-}
-
-bool AdHocManager::verify_cache_hit(const bundle::BundleId& id, const VerifyDigest& digest) {
-  auto it = verify_cache_.find(id);
-  if (it == verify_cache_.end() || it->second.digest != digest) return false;
-  verify_lru_.splice(verify_lru_.begin(), verify_lru_, it->second.lru_it);
-  return true;
-}
-
 void AdHocManager::verify_cache_insert(const bundle::BundleId& id, const VerifyDigest& digest) {
   auto it = verify_cache_.find(id);
   if (it != verify_cache_.end()) {
@@ -667,86 +647,83 @@ bool AdHocManager::check_signature(const crypto::EdPublicKey& pub, util::ByteVie
   return crypto::ed25519_verify(pub, msg, sig);
 }
 
-bool AdHocManager::bundle_policy_ok(const bundle::Bundle& b, const pki::Certificate& cert) {
+AdHocManager::Screened AdHocManager::screen_bundle(const bundle::Bundle& b,
+                                                  const pki::Certificate& cert) {
+  Screened out;
+  // Policy half (issuer, validity window, CRL, identity binding): cheap and
+  // time-dependent, evaluated on every reception — cached or not.
   if (creds_.trust.verify_policy(cert, sched_->now()) != pki::VerifyResult::Ok ||
       !(cert.subject_id == b.origin)) {
     ++stats_.bundle_cert_rejected;
-    return false;
+    return out;
   }
-  return true;
+  // Serialize once; the digest and both signature checks share the buffers.
+  // The digest is unambiguous: both signing_bytes encodings are
+  // fixed-layout with length-prefixed fields, and signatures are fixed-size.
+  out.bundle_signed = b.signing_bytes();
+  out.cert_signed = cert.signing_bytes();
+  crypto::Sha256 h;
+  h.update(out.bundle_signed);
+  h.update(util::ByteView(b.signature.data(), b.signature.size()));
+  h.update(out.cert_signed);
+  h.update(util::ByteView(cert.signature.data(), cert.signature.size()));
+  out.digest = h.finish();
+  auto it = verify_cache_.find(b.id());
+  if (it != verify_cache_.end() && it->second.digest == out.digest) {
+    verify_lru_.splice(verify_lru_.begin(), verify_lru_, it->second.lru_it);
+    ++stats_.bundle_sig_cache_hits;
+    out.verdict = Screened::kCached;
+    return out;
+  }
+  ++stats_.bundle_sig_cache_misses;
+  out.verdict = Screened::kVerify;
+  return out;
 }
 
 bool AdHocManager::verify_bundle(const bundle::Bundle& b, const pki::Certificate& origin_cert) {
   if (!verify_signatures_) return true;  // unsigned-baseline ablation
-  // Policy half (issuer, validity window, CRL, identity binding): cheap and
-  // time-dependent, evaluated on every reception — cached or not.
-  if (!bundle_policy_ok(b, origin_cert)) return false;
-  // Serialize once; the digest and both signature checks share the buffers.
-  util::Bytes bundle_signed = b.signing_bytes();
-  util::Bytes cert_signed = origin_cert.signing_bytes();
-  VerifyDigest digest =
-      verify_digest(bundle_signed, b.signature, cert_signed, origin_cert.signature);
-  if (verify_cache_hit(b.id(), digest)) {
-    ++stats_.bundle_sig_cache_hits;
-    return true;
-  }
-  ++stats_.bundle_sig_cache_misses;
-  if (!check_signature(creds_.trust.root_key(), cert_signed, origin_cert.signature)) {
+  Screened s = screen_bundle(b, origin_cert);
+  if (s.verdict != Screened::kVerify) return s.verdict == Screened::kCached;
+  if (!check_signature(creds_.trust.root_key(), s.cert_signed, origin_cert.signature)) {
     ++stats_.bundle_cert_rejected;
     return false;
   }
-  if (!check_signature(origin_cert.subject_key, bundle_signed, b.signature)) {
+  if (!check_signature(origin_cert.subject_key, s.bundle_signed, b.signature)) {
     ++stats_.bundle_sig_rejected;
     return false;
   }
-  verify_cache_insert(b.id(), digest);
+  verify_cache_insert(b.id(), s.digest);
   return true;
 }
 
 std::vector<bool> AdHocManager::verify_bundles(const std::vector<BundleToVerify>& batch) {
   if (!verify_signatures_) return std::vector<bool>(batch.size(), true);
+  assert([&batch] {
+    std::set<bundle::BundleId> ids;
+    for (const BundleToVerify& v : batch) ids.insert(v.bundle->id());
+    return ids.size() == batch.size();
+  }());
   std::vector<bool> ok(batch.size(), false);
 
-  // Cache/policy pass; survivors join one batch signature verification
+  // Screening pass; survivors join one batch signature verification
   // covering both the CA signature on the certificate and the origin
   // signature on the bundle.
   struct Pending {
     std::size_t index;
-    VerifyDigest digest;
-    util::Bytes cert_signed;    // owns bytes the batch items view
-    util::Bytes bundle_signed;  // owns bytes the batch items view
+    Screened screen;              // owns the signing bytes the batch items view
     std::size_t cert_item = 0;    // batch-item slot of the cert signature
     std::size_t bundle_item = 0;  // batch-item slot of the bundle signature
   };
   std::vector<Pending> pending;
-  // Concurrent duplicates (the same bundle pulled from two peers in one
-  // burst) collapse onto the first occurrence instead of being verified
-  // twice within the batch.
-  std::map<VerifyDigest, std::size_t> in_batch;               // digest -> pending slot
-  std::vector<std::pair<std::size_t, std::size_t>> followers;  // (batch idx, pending slot)
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const bundle::Bundle& b = *batch[i].bundle;
-    const pki::Certificate& cert = *batch[i].cert;
-    if (!bundle_policy_ok(b, cert)) continue;
-    util::Bytes bundle_signed = b.signing_bytes();
-    util::Bytes cert_signed = cert.signing_bytes();
-    VerifyDigest digest = verify_digest(bundle_signed, b.signature, cert_signed, cert.signature);
-    if (verify_cache_hit(b.id(), digest)) {
-      ++stats_.bundle_sig_cache_hits;
-      ok[i] = true;
-      continue;
+    Screened s = screen_bundle(*batch[i].bundle, *batch[i].cert);
+    if (s.verdict == Screened::kVerify) {
+      pending.push_back(Pending{i, std::move(s)});
+    } else {
+      ok[i] = s.verdict == Screened::kCached;
     }
-    auto [dup, inserted] = in_batch.try_emplace(digest, pending.size());
-    if (!inserted) {
-      followers.emplace_back(i, dup->second);  // stats counted on resolution
-      continue;
-    }
-    ++stats_.bundle_sig_cache_misses;
-    pending.push_back(
-        Pending{i, digest, std::move(cert_signed), std::move(bundle_signed), 0, 0});
   }
-  if (pending.empty()) return ok;  // a follower always has a leader in pending
-
+  if (pending.empty()) return ok;
   // One batch item per DISTINCT certificate (a burst from one origin pays
   // the CA-signature check once) plus one per bundle. Dedup keys on a hash
   // of the full certificate body AND signature: a forged body carrying a
@@ -757,13 +734,13 @@ std::vector<bool> AdHocManager::verify_bundles(const std::vector<BundleToVerify>
   for (Pending& p : pending) {
     const pki::Certificate& cert = *batch[p.index].cert;
     crypto::Sha256 ch;
-    ch.update(p.cert_signed);
+    ch.update(p.screen.cert_signed);
     ch.update(util::ByteView(cert.signature.data(), cert.signature.size()));
     auto [cit, fresh] = cert_items.try_emplace(ch.finish(), items.size());
-    if (fresh) items.push_back({creds_.trust.root_key(), p.cert_signed, cert.signature});
+    if (fresh) items.push_back({creds_.trust.root_key(), p.screen.cert_signed, cert.signature});
     p.cert_item = cit->second;
     p.bundle_item = items.size();
-    items.push_back({cert.subject_key, p.bundle_signed, batch[p.index].bundle->signature});
+    items.push_back({cert.subject_key, p.screen.bundle_signed, batch[p.index].bundle->signature});
   }
   ++stats_.bundle_batch_verifies;
   std::vector<bool> verdicts;
@@ -808,21 +785,9 @@ std::vector<bool> AdHocManager::verify_bundles(const std::vector<BundleToVerify>
     } else if (!verdicts[p.bundle_item]) {
       ++stats_.bundle_sig_rejected;
     } else {
-      verify_cache_insert(batch[p.index].bundle->id(), p.digest);
+      verify_cache_insert(batch[p.index].bundle->id(), p.screen.digest);
       ok[p.index] = true;
     }
-  }
-  for (const auto& [batch_idx, pending_slot] : followers) {
-    const Pending& leader = pending[pending_slot];
-    ok[batch_idx] = ok[leader.index];
-    // Mirror the leader's verdict in the stats so every batch entry is
-    // visible as exactly one of: cache hit, verified miss, or rejection.
-    if (ok[batch_idx])
-      ++stats_.bundle_sig_cache_hits;  // duplicate skipped verify
-    else if (!verdicts[leader.cert_item])
-      ++stats_.bundle_cert_rejected;
-    else
-      ++stats_.bundle_sig_rejected;
   }
   return ok;
 }

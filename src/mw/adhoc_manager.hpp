@@ -55,7 +55,7 @@ class AdHocManager {
   /// peers behind them are unreachable once detached, and a stale secure
   /// entry would wedge the next handshake on that transport id. Secure
   /// sessions are counted lost and fire on_session_down (so the message
-  /// layer runs its usual drop cleanup — adaptive verify flush included);
+  /// layer runs its usual drop cleanup — verify-queue flush included);
   /// half-open handshakes are discarded silently. The resumption cache and
   /// hints survive, which is what lets the next contact resume. No-op at a
   /// quiescent point (shard boundaries, where every contact has ended).
@@ -115,7 +115,8 @@ class AdHocManager {
 
   /// Batch counterpart: verifies a burst of received bundles with one
   /// random-linear-combination batch signature pass (cache consulted per
-  /// item first). Returns one verdict per input.
+  /// item first). Bundle ids must be distinct (the message manager's verify
+  /// queue deduplicates them at enqueue). Returns one verdict per input.
   struct BundleToVerify {
     const bundle::Bundle* bundle;
     const pki::Certificate* cert;
@@ -217,10 +218,19 @@ class AdHocManager {
     std::list<bundle::BundleId>::iterator lru_it;
   };
 
-  /// Shared policy gate for both verification paths: certificate policy
-  /// (issuer, validity window, CRL) plus the Fig 2a identity binding.
-  /// Counts the rejection on failure.
-  bool bundle_policy_ok(const bundle::Bundle& b, const pki::Certificate& cert);
+  /// A received bundle after the screening step both verification paths
+  /// share. With kVerify, the signing bytes and cache digest the two
+  /// signature checks still need.
+  struct Screened {
+    enum Verdict { kRejected, kCached, kVerify } verdict = kRejected;
+    util::Bytes bundle_signed;
+    util::Bytes cert_signed;
+    VerifyDigest digest{};
+  };
+  /// Certificate policy (issuer, validity window, CRL) plus the Fig 2a
+  /// identity binding, then signing bytes, digest and verify-cache lookup.
+  /// Counts the policy rejection, cache hit or cache miss.
+  Screened screen_bundle(const bundle::Bundle& b, const pki::Certificate& cert);
 
   /// ed25519_verify, routed through the shared memo when one is attached.
   bool check_signature(const crypto::EdPublicKey& pub, util::ByteView msg,
@@ -228,11 +238,6 @@ class AdHocManager {
 
   void install_endpoint_callbacks();
 
-  static VerifyDigest verify_digest(util::ByteView bundle_signed,
-                                    const crypto::EdSignature& bundle_sig,
-                                    util::ByteView cert_signed,
-                                    const crypto::EdSignature& cert_sig);
-  bool verify_cache_hit(const bundle::BundleId& id, const VerifyDigest& digest);
   void verify_cache_insert(const bundle::BundleId& id, const VerifyDigest& digest);
 
   void handle_connected(sim::PeerId peer);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "util/codec.hpp"
 
@@ -31,38 +32,19 @@ MessageManager::MessageManager(AdHocManager& adhoc, NodeStats& stats,
       if (!it->second.empty()) ++stats_.transfers_interrupted;
       sent_this_session_.erase(it);
     }
-    // Bundles from this peer still waiting in the verify queue belong to
-    // the transfer that just broke: delivering them after the session
-    // dropped would hand the routing layer a dead PeerId. An entry whose
-    // bundle a still-connected peer also offered in this window is handed
-    // to that peer instead; the rest are — adaptive mode — verified and
-    // delivered right now (the bytes arrived intact; only the window had
-    // not elapsed), or — classic mode — dropped and counted, leaving the
-    // next encounter's summary/request exchange to re-offer them.
-    std::vector<PendingBundle> orphaned;
-    if (!verify_queue_.empty()) {
-      std::size_t kept = 0, dropped = 0;
-      for (std::size_t i = 0; i < verify_queue_.size(); ++i) {
-        PendingBundle& p = verify_queue_[i];
-        auto& alts = p.also_offered_by;
-        alts.erase(std::remove(alts.begin(), alts.end(), peer), alts.end());
-        if (p.peer == peer) {
-          if (alts.empty()) {
-            if (verify_batch_adaptive_) {
-              orphaned.push_back(std::move(p));
-            } else {
-              ++dropped;
-            }
-            continue;
-          }
-          p.peer = alts.front();
-          alts.erase(alts.begin());
-        }
-        if (kept != i) verify_queue_[kept] = std::move(p);
-        ++kept;
-      }
-      verify_queue_.resize(kept);
-      stats_.transfers_interrupted += dropped;
+    // Bundles from this peer still waiting in the verify queue arrived
+    // intact; only their window had not elapsed. They are verified and
+    // delivered now rather than dying with the transfer, and an armed flush
+    // with nothing left to verify is cancelled.
+    auto from_peer =
+        std::stable_partition(verify_queue_.begin(), verify_queue_.end(),
+                              [peer](const PendingBundle& p) { return p.peer != peer; });
+    std::vector<PendingBundle> orphaned(std::make_move_iterator(from_peer),
+                                        std::make_move_iterator(verify_queue_.end()));
+    verify_queue_.erase(from_peer, verify_queue_.end());
+    if (verify_queue_.empty() && verify_flush_event_ != sim::kInvalidEventId) {
+      adhoc_.scheduler().cancel(verify_flush_event_);
+      verify_flush_event_ = sim::kInvalidEventId;
     }
     if (on_session_down) on_session_down(peer);
     if (!orphaned.empty()) flush_entries(std::move(orphaned));
@@ -75,11 +57,9 @@ MessageManager::MessageManager(AdHocManager& adhoc, NodeStats& stats,
 MessageManager::~MessageManager() {
   // A pending flush holds a raw `this` inside the scheduler; firing after
   // destruction would be use-after-free. The callbacks installed on the
-  // ad hoc manager capture `this` too and it may outlive us.
-  if (verify_flush_scheduled_ && adhoc_.attached()) {
-    assert(verify_flush_event_ != sim::kInvalidEventId);
-    adhoc_.scheduler().cancel(verify_flush_event_);
-  }
+  // ad hoc manager capture `this` too and it may outlive us. (An armed
+  // flush implies a live session, hence an attached ad hoc manager.)
+  if (verify_flush_event_ != sim::kInvalidEventId) adhoc_.scheduler().cancel(verify_flush_event_);
   adhoc_.on_peer_advert = nullptr;
   adhoc_.on_secure_session = nullptr;
   adhoc_.on_session_down = nullptr;
@@ -87,12 +67,7 @@ MessageManager::~MessageManager() {
 }
 
 void MessageManager::reset_after_reboot(bool lose_store) {
-  if (verify_flush_scheduled_) {
-    if (adhoc_.attached()) adhoc_.scheduler().cancel(verify_flush_event_);
-    verify_flush_scheduled_ = false;
-    verify_flush_event_ = sim::kInvalidEventId;
-  }
-  verify_queue_.clear();
+  assert(verify_queue_.empty() && verify_flush_event_ == sim::kInvalidEventId);
   session_users_.clear();
   sent_this_session_.clear();
   cert_cache_.clear();
@@ -100,23 +75,12 @@ void MessageManager::reset_after_reboot(bool lose_store) {
   if (lose_store) store_.clear();
 }
 
-void MessageManager::detach() {
-  // The deadline is absolute, so the flush re-arms exactly where it would
-  // have fired: a window that straddles a shard boundary flushes at the
-  // same sim time on the next shard.
-  if (verify_flush_scheduled_) {
-    assert(verify_flush_event_ != sim::kInvalidEventId);
-    adhoc_.scheduler().cancel(verify_flush_event_);
-    verify_flush_event_ = sim::kInvalidEventId;  // id is meaningless off-shard
-  }
-}
-
-void MessageManager::attach() {
-  if (verify_flush_scheduled_) {
-    assert(verify_flush_event_ == sim::kInvalidEventId);
-    verify_flush_event_ =
-        adhoc_.scheduler().schedule_at(verify_flush_at_, [this] { flush_verify_queue(); });
-  }
+void MessageManager::detach() const {
+  // Every queued entry's session is live, and SosNode::detach drops all
+  // live sessions first: their drop flushed the queue and cancelled the
+  // flush, so no verify state can straddle a shard boundary.
+  assert(adhoc_.secure_peers().empty());
+  assert(verify_queue_.empty() && verify_flush_event_ == sim::kInvalidEventId);
 }
 
 void MessageManager::save_state(util::Writer& w) const {
@@ -132,8 +96,6 @@ void MessageManager::save_state(util::Writer& w) const {
   // Keys are re-derived from each certificate's subject id on load.
   w.varint(cert_cache_.size());
   for (const auto& [uid, cert] : cert_cache_) w.bytes(cert.encode());
-  w.u8(verify_flush_scheduled_ ? 1 : 0);
-  w.f64(verify_flush_at_);
 }
 
 bool MessageManager::load_state(util::Reader& r) {
@@ -153,19 +115,13 @@ bool MessageManager::load_state(util::Reader& r) {
     pki::UserId uid = cert->subject_id;
     certs.emplace(uid, std::move(*cert));
   }
-  bool flush_scheduled = r.u8() != 0;
-  double flush_at = r.f64();
   if (!r.ok()) return false;
   store_ = std::move(store);
   cert_cache_ = std::move(certs);
-  verify_flush_scheduled_ = flush_scheduled;
-  verify_flush_event_ = sim::kInvalidEventId;
-  verify_flush_at_ = flush_at;
   return true;
 }
 
 void MessageManager::flush_verify_queue() {
-  verify_flush_scheduled_ = false;
   verify_flush_event_ = sim::kInvalidEventId;  // our own firing consumed it
   std::vector<PendingBundle> queue = std::move(verify_queue_);
   verify_queue_.clear();
@@ -181,8 +137,7 @@ void MessageManager::flush_entries(std::vector<PendingBundle> entries) {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (!ok[i]) continue;
     remember_certificate(entries[i].cert);
-    if (on_bundle) on_bundle(entries[i].peer, std::move(entries[i].bundle), entries[i].cert,
-                             entries[i].spray_copies);
+    if (on_bundle) on_bundle(std::move(entries[i].bundle), entries[i].cert, entries[i].spray_copies);
   }
 }
 
@@ -266,39 +221,25 @@ void MessageManager::handle_frame(sim::PeerId peer, FrameType type, util::Bytes 
         // in one batch signature pass. A bundle id already waiting in the
         // queue is a re-reception (two peers offering the same bundle in
         // one burst): verifying and delivering it twice would double the
-        // signature work, so it rides the queued copy instead.
+        // signature work, so the second copy is dropped.
         bundle::BundleId id = b->id();
-        auto queued = std::find_if(
-            verify_queue_.begin(), verify_queue_.end(),
-            [&id](const PendingBundle& p) { return p.bundle.id() == id; });
-        if (queued != verify_queue_.end()) {
+        if (std::any_of(verify_queue_.begin(), verify_queue_.end(),
+                        [&id](const PendingBundle& p) { return p.bundle.id() == id; })) {
           ++stats_.duplicates_ignored;
-          queued->also_offered_by.push_back(peer);
           return;
         }
         verify_queue_.push_back(PendingBundle{peer, std::move(*b), std::move(*cert),
                                               f->spray_copies});
-        if (verify_batch_adaptive_ && verify_queue_.size() >= verify_batch_max_queue_) {
-          // Store pressure: the queue holds a full batch — verify it now
-          // rather than buffering the burst for the rest of the window. A
-          // flush already scheduled simply finds a shorter queue later.
-          std::vector<PendingBundle> queue = std::move(verify_queue_);
-          verify_queue_.clear();
-          flush_entries(std::move(queue));
-          return;
-        }
-        if (!verify_flush_scheduled_) {
-          verify_flush_scheduled_ = true;
-          verify_flush_at_ = adhoc_.scheduler().now() + verify_batch_window_;
+        if (verify_flush_event_ == sim::kInvalidEventId) {
           verify_flush_event_ = adhoc_.scheduler().schedule_at(
-              verify_flush_at_, [this] { flush_verify_queue(); });
+              adhoc_.scheduler().now() + verify_batch_window_, [this] { flush_verify_queue(); });
         }
         return;
       }
       // Security gate: certificate chain + identity binding + signature.
       if (!adhoc_.verify_bundle(*b, *cert)) return;
       remember_certificate(*cert);
-      if (on_bundle) on_bundle(peer, std::move(*b), *cert, f->spray_copies);
+      if (on_bundle) on_bundle(std::move(*b), *cert, f->spray_copies);
       return;
     }
     case FrameType::Hello:

@@ -19,9 +19,8 @@ RoutingManager::RoutingManager(sim::Scheduler& sched, MessageManager& msgs, Node
   msgs_.on_session_down = [this](sim::PeerId peer) { peers_.erase(peer); };
   msgs_.on_summary = [this](sim::PeerId peer, const SummaryFrame& s) { handle_summary(peer, s); };
   msgs_.on_request = [this](sim::PeerId peer, const RequestFrame& r) { handle_request(peer, r); };
-  msgs_.on_bundle = [this](sim::PeerId peer, bundle::Bundle b, const pki::Certificate& cert,
-                           std::uint32_t copies) {
-    handle_bundle(peer, std::move(b), cert, copies);
+  msgs_.on_bundle = [this](bundle::Bundle b, const pki::Certificate& cert, std::uint32_t copies) {
+    handle_bundle(std::move(b), cert, copies);
   };
 }
 
@@ -226,10 +225,8 @@ bool RoutingManager::wanted_by_app(const bundle::Bundle& b) const {
   return subscriptions_.count(b.origin) > 0;
 }
 
-void RoutingManager::handle_bundle(sim::PeerId peer, bundle::Bundle b,
-                                   const pki::Certificate& origin_cert,
+void RoutingManager::handle_bundle(bundle::Bundle b, const pki::Certificate& origin_cert,
                                    std::uint32_t spray_copies) {
-  (void)peer;
   if (b.expired(sched_->now())) return;
   // One D2D hop completed.
   if (b.hop_count < 255) ++b.hop_count;

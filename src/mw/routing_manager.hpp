@@ -71,7 +71,7 @@ class RoutingManager {
   void handle_session_ready(sim::PeerId peer, const pki::UserId& uid);
   void handle_summary(sim::PeerId peer, const SummaryFrame& summary);
   void handle_request(sim::PeerId peer, const RequestFrame& request);
-  void handle_bundle(sim::PeerId peer, bundle::Bundle b, const pki::Certificate& origin_cert,
+  void handle_bundle(bundle::Bundle b, const pki::Certificate& origin_cert,
                      std::uint32_t spray_copies);
   SummaryFrame build_summary();
   void push_summaries();

@@ -53,7 +53,6 @@ SosNode::SosNode(sim::Scheduler& sched, sim::MpcEndpoint& endpoint, pki::DeviceC
   adhoc_->set_verify_signatures(config_.verify_signatures);
   msgs_ = std::make_unique<MessageManager>(*adhoc_, stats_, config_.store_capacity);
   msgs_->set_verify_batch_window(config_.verify_batch_window_s);
-  msgs_->set_verify_batch_adaptive(config_.verify_batch_adaptive, config_.verify_batch_max_queue);
   auto scheme = make_scheme(config_.scheme);
   if (!scheme) scheme = std::make_unique<InterestBasedScheme>();
   routing_ = std::make_unique<RoutingManager>(sched, *msgs_, stats_, std::move(scheme));
@@ -73,13 +72,10 @@ void SosNode::start() {
 void SosNode::detach() {
   // Live sessions cannot outlive their transport: drop them while the full
   // stack is still attached, so the session-down cascade (routing cleanup,
-  // adaptive verify flush) runs with a working scheduler. Quiescent
+  // verify-queue flush) runs with a working scheduler. Quiescent
   // detaches — strand ends — make this a no-op.
   adhoc_->drop_live_sessions();
-  // Order matters: the message manager cancels its pending flush through
-  // the ad hoc manager's scheduler, so it must detach first; same for the
-  // routing manager's timers.
-  msgs_->detach();
+  msgs_->detach();  // asserts the drop left no verify state behind
   routing_->detach();
   adhoc_->detach();
   sched_ = nullptr;
@@ -88,7 +84,6 @@ void SosNode::detach() {
 void SosNode::attach(sim::Scheduler& sched, sim::MpcEndpoint& endpoint) {
   sched_ = &sched;
   adhoc_->attach(sched, endpoint);
-  msgs_->attach();
   routing_->attach(sched);
 }
 

@@ -21,16 +21,12 @@ struct SosConfig {
   std::uint32_t bundle_lifetime_s = 0;   // 0 = bundles never expire
   std::size_t store_capacity = 10000;
   util::SimTime maintenance_interval_s = 600.0;
-  /// > 0: received bundles are queued this many sim-seconds and verified in
-  /// one batch signature pass; 0 verifies each bundle synchronously.
+  /// > 0: received bundles are queued and verified in one batch signature
+  /// pass when the session they arrived on drops or, at the latest, this
+  /// many sim-seconds after the first of them arrived (see
+  /// MessageManager::set_verify_batch_window); 0 verifies each bundle
+  /// synchronously.
   util::SimTime verify_batch_window_s = 0.0;
-  /// With a window > 0: flush a peer's queued entries the moment its
-  /// session drops (instead of letting them die with the transfer) and
-  /// flush the whole queue when it reaches verify_batch_max_queue entries.
-  /// Keeps the batched signature passes without the delivery loss a long
-  /// window costs in dense cells.
-  bool verify_batch_adaptive = false;
-  std::size_t verify_batch_max_queue = 256;
   /// > 0: cache a resumption secret per peer after each full handshake and
   /// re-establish later contacts with a 1-RTT HMAC-proof resume — zero
   /// X25519 operations and no certificate exchange on recurring contacts.
@@ -86,7 +82,7 @@ class SosNode {
   bool load_state(util::Reader& r);
 
   /// Power cycle (fault-injection churn). Everything in RAM is lost:
-  /// sessions, handshake state, verify queue/caches, certificate cache,
+  /// sessions, handshake state, verify caches, certificate cache,
   /// session bookkeeping. `lose_store` additionally wipes the persisted
   /// bundle store, `lose_resume_cache` the persisted resumption secrets
   /// (kept=resume on next contact, lost=full handshake). Routing-scheme

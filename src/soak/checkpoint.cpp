@@ -15,6 +15,16 @@ constexpr char kMagic[8] = {'S', 'O', 'S', 'C', 'K', 'P', 'T', '\0'};
 void set_error(std::string* error, std::string msg) {
   if (error != nullptr) *error = std::move(msg);
 }
+
+/// Only this build's own version decodes: an older payload has a different
+/// node-state layout and would otherwise fail later, as a misleading
+/// world-digest or load_state mismatch. Empty when `version` is accepted.
+std::string version_mismatch(std::uint32_t version) {
+  if (version == kCheckpointVersion) return {};
+  return "checkpoint format version " + std::to_string(version) + " is " +
+         (version > kCheckpointVersion ? "newer" : "older") + " than supported version " +
+         std::to_string(kCheckpointVersion);
+}
 }  // namespace
 
 std::array<std::uint8_t, 32> world_digest(const deploy::ScenarioConfig& config,
@@ -29,7 +39,6 @@ std::array<std::uint8_t, 32> world_digest(const deploy::ScenarioConfig& config,
   w.f64(config.bridge_node_frac);
   w.f64(config.resume_lifetime_s);
   w.f64(config.verify_batch_window_s);
-  w.u8(config.verify_batch_adaptive ? 1 : 0);
   w.u8(config.verify_signatures ? 1 : 0);
   w.varint(config.store_capacity);
   w.varint(world.trace.size());
@@ -72,18 +81,16 @@ std::optional<Checkpoint> decode_checkpoint(util::ByteView data, std::string* er
   crypto::Sha256::Digest computed = crypto::Sha256::hash(body);
   if (!util::ct_equal(util::ByteView(computed), stored_hash)) {
     // Distinguish the two common operator mistakes before declaring rot:
-    // a non-checkpoint file (bad magic) and a newer tool's file (version).
+    // a non-checkpoint file (bad magic) and another tool's file (version).
     if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
       set_error(error, "not a checkpoint file (bad magic)");
       return std::nullopt;
     }
     util::Reader probe(body);
     probe.raw(sizeof(kMagic));
-    std::uint32_t version = probe.u32();
-    if (probe.ok() && version > kCheckpointVersion) {
-      set_error(error, "checkpoint format version " + std::to_string(version) +
-                           " is newer than supported version " +
-                           std::to_string(kCheckpointVersion));
+    std::string mismatch = version_mismatch(probe.u32());
+    if (probe.ok() && !mismatch.empty()) {
+      set_error(error, std::move(mismatch));
       return std::nullopt;
     }
     set_error(error, "checkpoint integrity hash mismatch (truncated or corrupted file)");
@@ -95,11 +102,9 @@ std::optional<Checkpoint> decode_checkpoint(util::ByteView data, std::string* er
     set_error(error, "not a checkpoint file (bad magic)");
     return std::nullopt;
   }
-  std::uint32_t version = r.u32();
-  if (r.ok() && version > kCheckpointVersion) {
-    set_error(error, "checkpoint format version " + std::to_string(version) +
-                         " is newer than supported version " +
-                         std::to_string(kCheckpointVersion));
+  std::string mismatch = version_mismatch(r.u32());
+  if (r.ok() && !mismatch.empty()) {
+    set_error(error, std::move(mismatch));
     return std::nullopt;
   }
   Checkpoint c;

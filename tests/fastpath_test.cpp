@@ -203,21 +203,6 @@ TEST(VerifyBatch, ForgedCertBodyWithCopiedSignatureDoesNotAliasLegitimateCert) {
   EXPECT_TRUE(ok2[1]);
 }
 
-TEST(VerifyBatch, IntraBatchDuplicatesVerifiedOnce) {
-  // The same bundle pulled from two peers in one burst: the duplicate must
-  // ride the first occurrence's verdict, not pay a second verification.
-  VerifyRig rig;
-  auto b1 = rig.make_bundle(1);
-  auto b2 = rig.make_bundle(2);
-  const auto& cert = rig.publisher_creds.certificate;
-  std::vector<sm::AdHocManager::BundleToVerify> batch = {
-      {&b1, &cert}, {&b2, &cert}, {&b1, &cert}};  // b1 twice
-  auto ok = rig.adhoc.verify_bundles(batch);
-  EXPECT_TRUE(ok[0] && ok[1] && ok[2]);
-  EXPECT_EQ(rig.stats.bundle_sig_cache_misses, 2u);  // b1, b2 verified once each
-  EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);    // duplicate b1 suppressed
-}
-
 // --- session resumption: wire-level rejection paths ---------------------------
 
 namespace {
@@ -386,42 +371,6 @@ TEST(VerifyWindow, BurstIsBatchVerifiedEndToEnd) {
   EXPECT_EQ(bob.stats().deliveries, 5u);
 }
 
-TEST(VerifyWindow, SessionDropPurgesPendingVerifications) {
-  // Bundles waiting in the verify queue when their session drops must not
-  // be delivered against a dead PeerId: they are dropped and counted as
-  // interrupted, then recovered on the next encounter.
-  ss::Scheduler sched;
-  sp::BootstrapService infra{su::to_bytes("drop-infra")};
-  ss::MpcNetwork net(sched, 2);
-  sm::SosConfig config;
-  config.maintenance_interval_s = 0;
-  config.verify_batch_window_s = 30.0;  // long window: the cut wins the race
-  sc::Drbg d0(su::to_bytes("dr-0")), d1(su::to_bytes("dr-1"));
-  sm::SosNode alice(sched, net.endpoint(0), *infra.signup("dr-alice", d0, 0), config);
-  sm::SosNode bob(sched, net.endpoint(1), *infra.signup("dr-bob", d1, 0), config);
-  alice.start();
-  bob.start();
-  bob.follow(alice.user_id());
-  for (int i = 1; i <= 3; ++i) alice.publish(su::to_bytes("post " + std::to_string(i)));
-
-  net.set_in_range(0, 1, true);
-  // Handshake + summary + request + bundle arrival all happen within a few
-  // seconds; the 30 s verify window is still open when the link breaks.
-  sched.run_until(sched.now() + 10.0);
-  ASSERT_EQ(bob.stats().bundles_received, 3u);  // queued, not yet verified
-  ASSERT_EQ(bob.stats().deliveries, 0u);
-  net.set_in_range(0, 1, false);
-  sched.run_all();  // the scheduled flush fires on an empty queue
-  EXPECT_EQ(bob.stats().deliveries, 0u);
-  EXPECT_EQ(bob.stats().transfers_interrupted, 3u);
-
-  // Next encounter recovers everything via the normal pull protocol.
-  net.set_in_range(0, 1, true);
-  sched.run_all();
-  EXPECT_EQ(bob.stats().deliveries, 3u);
-  EXPECT_EQ(bob.stats().duplicates_ignored, 0u);
-}
-
 TEST(VerifyWindow, DuplicateArrivalsWithinWindowVerifiedOnce) {
   // Two relays offer bob the same bundle in one burst: the second copy must
   // be deduplicated at enqueue time, paying zero additional verification.
@@ -465,48 +414,6 @@ TEST(VerifyWindow, DuplicateArrivalsWithinWindowVerifiedOnce) {
   EXPECT_EQ(bob.stats().deliveries, 1u);
 }
 
-TEST(VerifyWindow, DroppedSessionHandsQueueEntryToRidingPeer) {
-  // Bundle X arrives from relay 1 and is deduplicated when relay 2 offers
-  // it too; if relay 1's session then drops before the flush, the queue
-  // entry must be handed to relay 2 (still connected) instead of dropped.
-  ss::Scheduler sched;
-  sp::BootstrapService infra{su::to_bytes("ride-infra")};
-  ss::MpcNetwork net(sched, 4);
-  sm::SosConfig config;
-  config.scheme = "epidemic";
-  config.maintenance_interval_s = 0;
-  config.verify_batch_window_s = 30.0;
-  std::vector<std::unique_ptr<sm::SosNode>> nodes;
-  for (int i = 0; i < 4; ++i) {
-    sc::Drbg d(su::to_bytes("ride-" + std::to_string(i)));
-    nodes.push_back(std::make_unique<sm::SosNode>(
-        sched, net.endpoint(static_cast<ss::PeerId>(i)),
-        *infra.signup("ride-user" + std::to_string(i), d, 0), config));
-    nodes.back()->start();
-  }
-  sm::SosNode& bob = *nodes[3];
-  bob.follow(nodes[0]->user_id());
-  nodes[0]->publish(su::to_bytes("handed over"));
-  for (ss::PeerId relay : {1u, 2u}) {
-    net.set_in_range(0, relay, true);
-    sched.run_all();
-    net.set_in_range(0, relay, false);
-    sched.run_all();
-  }
-
-  net.set_in_range(3, 1, true);
-  net.set_in_range(3, 2, true);
-  sched.run_until(sched.now() + 10.0);  // both copies queued, flush pending
-  ASSERT_EQ(bob.stats().bundles_received, 2u);
-  ASSERT_EQ(bob.stats().duplicates_ignored, 1u);
-  ASSERT_EQ(bob.stats().deliveries, 0u);
-
-  net.set_in_range(3, 1, false);  // the leader's session drops
-  sched.run_all();                // flush delivers via relay 2's entry
-  EXPECT_EQ(bob.stats().deliveries, 1u);
-  EXPECT_EQ(bob.stats().transfers_interrupted, 0u);
-}
-
 TEST(VerifyWindow, DestroyingManagerCancelsScheduledFlush) {
   // A scheduled flush captures the MessageManager; destroying the node with
   // the flush pending must cancel the event, not leave a dangling callback.
@@ -535,17 +442,16 @@ TEST(VerifyWindow, DestroyingManagerCancelsScheduledFlush) {
   EXPECT_EQ(sched.cancelled_backlog(), 0u);
 }
 
-TEST(VerifyWindow, AdaptiveFlushDeliversOnSessionDrop) {
-  // The adaptive window closes the classic window's failure mode: entries
-  // whose session drops mid-window are verified and delivered on the spot
-  // (the bytes arrived intact) instead of dying with the transfer.
+TEST(VerifyWindow, SessionDropVerifiesAndDeliversQueue) {
+  // Entries whose session drops mid-window are verified and delivered on
+  // the spot (the bytes arrived intact) instead of dying with the
+  // transfer, and the window flush armed for them is cancelled.
   ss::Scheduler sched;
   sp::BootstrapService infra{su::to_bytes("adrop-infra")};
   ss::MpcNetwork net(sched, 2);
   sm::SosConfig config;
   config.maintenance_interval_s = 0;
   config.verify_batch_window_s = 30.0;  // long window: the cut wins the race
-  config.verify_batch_adaptive = true;
   sc::Drbg d0(su::to_bytes("ad-0")), d1(su::to_bytes("ad-1"));
   sm::SosNode alice(sched, net.endpoint(0), *infra.signup("ad-alice", d0, 0), config);
   sm::SosNode bob(sched, net.endpoint(1), *infra.signup("ad-bob", d1, 0), config);
@@ -563,41 +469,12 @@ TEST(VerifyWindow, AdaptiveFlushDeliversOnSessionDrop) {
   EXPECT_EQ(bob.stats().deliveries, 3u);               // flushed, not dropped
   EXPECT_EQ(bob.stats().transfers_interrupted, 0u);    // nothing lost
   EXPECT_GE(bob.stats().bundle_batch_verifies, 1u);    // still one batch pass
+  EXPECT_LT(sched.now(), 30.0);  // the 30 s window flush was cancelled, not run
 
   // The next encounter has nothing left to recover.
   net.set_in_range(0, 1, true);
   sched.run_all();
   EXPECT_EQ(bob.stats().deliveries, 3u);
-}
-
-TEST(VerifyWindow, AdaptiveStorePressureFlushesEarly) {
-  // A full queue flushes immediately instead of buffering the burst for
-  // the rest of the window.
-  ss::Scheduler sched;
-  sp::BootstrapService infra{su::to_bytes("press-infra")};
-  ss::MpcNetwork net(sched, 2);
-  sm::SosConfig config;
-  config.maintenance_interval_s = 0;
-  config.verify_batch_window_s = 30.0;
-  config.verify_batch_adaptive = true;
-  config.verify_batch_max_queue = 2;
-  sc::Drbg d0(su::to_bytes("pr-0")), d1(su::to_bytes("pr-1"));
-  sm::SosNode alice(sched, net.endpoint(0), *infra.signup("pr-alice", d0, 0), config);
-  sm::SosNode bob(sched, net.endpoint(1), *infra.signup("pr-bob", d1, 0), config);
-  alice.start();
-  bob.start();
-  bob.follow(alice.user_id());
-  for (int i = 1; i <= 5; ++i) alice.publish(su::to_bytes("post " + std::to_string(i)));
-
-  net.set_in_range(0, 1, true);
-  sched.run_until(sched.now() + 10.0);  // window still open for 20+ s
-  // 5 arrivals, queue cap 2: two pressure flushes deliver 4; the 5th waits
-  // for the scheduled window flush.
-  EXPECT_EQ(bob.stats().bundles_received, 5u);
-  EXPECT_EQ(bob.stats().deliveries, 4u);
-  EXPECT_GE(bob.stats().bundle_batch_verifies, 2u);
-  sched.run_all();
-  EXPECT_EQ(bob.stats().deliveries, 5u);
 }
 
 // --- bundle store eviction index ---------------------------------------------

@@ -718,60 +718,60 @@ TEST(MwSeam, MidSessionDetachResumesOnNewShard) {
   EXPECT_EQ(bob.stats().ecdh_ops, ecdh_bob);
 }
 
-TEST(MwSeam, PendingAdaptiveVerifyFlushDeadlineSurvivesMigration) {
-  // A verify-batch flush scheduled on shard A must fire at its original
-  // absolute deadline on shard B: a burst received after the migration
-  // rides the migrated deadline (earlier than the window a fresh schedule
-  // would have picked), pinning that the deadline — not just the queue —
-  // crossed the seam.
+TEST(MwSeam, DetachFlushesVerifyQueueAndLeavesNothingArmed) {
+  // Flush armed <=> queue non-empty <=> some queued entry's session is
+  // live. Detaching mid-session drops the node's last session, so its
+  // queued burst is delivered there and then and no flush is left armed:
+  // there is no verify state to carry across the seam. A burst on the next
+  // shard flushes at its own arrival time + window.
   sp::BootstrapService infra{su::to_bytes("flushmig-infra")};
   ss::Scheduler sched_a;
   ss::MpcNetwork net_a(sched_a, 2);
   sm::SosConfig config;
   config.maintenance_interval_s = 0;
   config.verify_batch_window_s = 100.0;
-  config.verify_batch_adaptive = true;
   sc::Drbg d0(su::to_bytes("fm-0")), d1(su::to_bytes("fm-1"));
   sm::SosNode alice(sched_a, net_a.endpoint(0), *infra.signup("fm-alice", d0, 0), config);
   sm::SosNode bob(sched_a, net_a.endpoint(1), *infra.signup("fm-bob", d1, 0), config);
+  ss::Scheduler* current = &sched_a;
+  std::vector<su::SimTime> delivered_at;
+  bob.on_data = [&](const sb::Bundle&, const sp::Certificate&) {
+    delivered_at.push_back(current->now());
+  };
   alice.start();
   bob.start();
   bob.follow(alice.user_id());
   alice.publish(su::to_bytes("p1"));
   alice.publish(su::to_bytes("p2"));
 
-  // Shard A: the burst arrives by t=8, arming the flush for its arrival
-  // time + 100 (i.e. somewhere in [100, 108]). The session then drops and
-  // the adaptive path delivers the burst immediately — but the armed
-  // deadline stays pending, with an empty queue behind it.
+  // Shard A: the burst arrives by t=8 and waits for a flush armed ~100 s
+  // out; the detach drops the still-live session and delivers it at once.
   net_a.set_in_range(0, 1, true);
   sched_a.run_until(8.0);
   ASSERT_EQ(bob.stats().bundles_received, 2u);
   ASSERT_EQ(bob.stats().deliveries, 0u);  // still queued: window is long
-  net_a.set_in_range(0, 1, false);
-  sched_a.run_until(12.0);
-  ASSERT_EQ(bob.stats().deliveries, 2u);  // adaptive flush at session drop
-
   alice.detach();
   bob.detach();
+  EXPECT_EQ(bob.stats().deliveries, 2u);
+  EXPECT_EQ(delivered_at, (std::vector<su::SimTime>{8.0, 8.0}));
+  sched_a.run_all();
+  EXPECT_EQ(sched_a.now(), 8.0) << "a verify flush was still armed on the old shard";
+
   ss::Scheduler sched_b(sched_a.now());
   ss::MpcNetwork net_b(sched_b, 2);
+  current = &sched_b;
   alice.attach(sched_b, net_b.endpoint(0));
   bob.attach(sched_b, net_b.endpoint(1));
-
-  // Shard B: a new bundle arrives ~t=13-20 — a fresh schedule would flush
-  // at >= 113. It must instead ride the migrated deadline (<= 108).
   alice.publish(su::to_bytes("p3"));
   net_b.set_in_range(0, 1, true);
-  sched_b.run_until(20.0);
+  while (bob.stats().bundles_received < 3u && sched_b.step()) {
+  }
   ASSERT_EQ(bob.stats().bundles_received, 3u);
-  EXPECT_EQ(bob.stats().deliveries, 2u);
-  sched_b.run_until(95.0);
-  EXPECT_EQ(bob.stats().deliveries, 2u);  // deadline not reached yet
-  sched_b.run_until(110.0);
-  EXPECT_EQ(bob.stats().deliveries, 3u)
-      << "flush did not fire at the migrated deadline on the new shard";
-  EXPECT_GE(bob.stats().bundle_batch_verifies, 1u);
+  const su::SimTime arrived = sched_b.now();
+  sched_b.run_until(arrived + 200.0);
+  ASSERT_EQ(bob.stats().deliveries, 3u);
+  EXPECT_EQ(delivered_at.back(), arrived + 100.0);
+  EXPECT_GE(bob.stats().bundle_batch_verifies, 2u);
 }
 
 // --- stats & bookkeeping -----------------------------------------------------------------

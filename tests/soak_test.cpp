@@ -141,6 +141,30 @@ TEST(CheckpointCodec, FutureVersionRejectedWithDiagnostic) {
   EXPECT_FALSE(sk::decode_checkpoint(su::ByteView(future), &error).has_value());
   EXPECT_NE(error.find("version 99"), std::string::npos) << error;
   EXPECT_NE(error.find("newer"), std::string::npos) << error;
+  EXPECT_NE(error.find("version " + std::to_string(sk::kCheckpointVersion)), std::string::npos)
+      << error;
+}
+
+TEST(CheckpointCodec, OlderVersionRejectedWithDiagnostic) {
+  // A well-formed checkpoint of every older format version (valid integrity
+  // hash) is rejected at decode, naming both versions — not accepted and
+  // left to fail later as a misleading world-digest or payload mismatch.
+  ASSERT_GT(sk::kCheckpointVersion, 1u);
+  for (std::uint32_t old_version = 1; old_version < sk::kCheckpointVersion; ++old_version) {
+    su::Bytes older = sk::encode_checkpoint(sample_checkpoint());
+    for (int b = 0; b < 4; ++b) {  // big-endian u32 right after the 8-byte magic
+      older[8 + b] = static_cast<std::uint8_t>(old_version >> (24 - 8 * b));
+    }
+    su::ByteView body(older.data(), older.size() - 32);
+    auto hash = sc::Sha256::hash(body);
+    std::copy(hash.begin(), hash.end(), older.end() - 32);
+    std::string error;
+    EXPECT_FALSE(sk::decode_checkpoint(su::ByteView(older), &error).has_value());
+    EXPECT_NE(error.find("version " + std::to_string(old_version)), std::string::npos) << error;
+    EXPECT_NE(error.find("older"), std::string::npos) << error;
+    EXPECT_NE(error.find("version " + std::to_string(sk::kCheckpointVersion)), std::string::npos)
+        << error;
+  }
 }
 
 TEST(CheckpointCodec, TrailingBytesRejected) {
@@ -266,39 +290,53 @@ TEST(CheckpointLayout, NodeStatsAreBigEndianU64InDeclarationOrder) {
 // --- checkpoint/resume determinism pins -------------------------------------
 
 TEST(SoakResume, CheckpointResumeBitwiseIdenticalOnEveryEngine) {
-  sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 1));
-  auto world = sd::record_world(config);
-  ASSERT_GT(world->trace.size(), 0u);
-  const sd::ScenarioResult baseline = sd::run_scenario(config, world.get());
-  ASSERT_GT(baseline.oracle.post_count(), 0u);
-  for (const EngineOpt& e : all_engines()) {
-    // One uninterrupted session equals run_scenario.
-    sd::ReplaySession whole(config, *world, e.opt);
-    whole.advance_to(whole.horizon());
-    expect_same_result(baseline, whole.finish(), e.name);
+  // The second config runs with a batch-verify window over a denser world
+  // that runs past an evening of posts, so verify queues fill and flush on
+  // both sides of the checkpoint cut.
+  sd::ScenarioConfig windowed = small_config("epidemic", su::derive_seed(77, 4));
+  windowed.area_w_m = 1500;
+  windowed.area_h_m = 1500;
+  windowed.days = 1.5;
+  windowed.verify_batch_window_s = 30.0;
+  for (const sd::ScenarioConfig& config :
+       {small_config("interest", su::derive_seed(77, 1)), windowed}) {
+    auto world = sd::record_world(config);
+    ASSERT_GT(world->trace.size(), 0u);
+    const sd::ScenarioResult baseline = sd::run_scenario(config, world.get());
+    ASSERT_GT(baseline.oracle.post_count(), 0u);
+    if (config.verify_batch_window_s > 0) {
+      EXPECT_GT(baseline.totals.bundle_batch_verifies, 0u);
+    }
+    for (const EngineOpt& e : all_engines()) {
+      const std::string what = config.scheme + " " + e.name;
+      // One uninterrupted session equals run_scenario.
+      sd::ReplaySession whole(config, *world, e.opt);
+      whole.advance_to(whole.horizon());
+      expect_same_result(baseline, whole.finish(), what);
 
-    // Checkpoint at a mid-run quiescent cut, resume in a fresh session,
-    // round-tripping the state through the full checkpoint codec.
-    sd::ReplaySession first(config, *world, e.opt);
-    std::vector<su::SimTime> cuts = first.quiescent_cuts(60.0);
-    ASSERT_FALSE(cuts.empty()) << e.name;
-    first.advance_to(cuts[cuts.size() / 2]);
-    sk::Checkpoint ckpt;
-    ckpt.segment = 1;
-    ckpt.sim_time = first.sim_time();
-    ckpt.world_digest = sk::world_digest(config, *world);
-    su::Writer w;
-    first.save_state(w);
-    ckpt.payload = w.take();
-    std::string error;
-    su::Bytes encoded = sk::encode_checkpoint(ckpt);
-    auto decoded = sk::decode_checkpoint(su::ByteView(encoded), &error);
-    ASSERT_TRUE(decoded.has_value()) << error;
-    sd::ReplaySession second(config, *world, e.opt);
-    su::Reader r{su::ByteView(decoded->payload)};
-    ASSERT_TRUE(second.load_state(r)) << e.name;
-    second.advance_to(second.horizon());
-    expect_same_result(baseline, second.finish(), std::string(e.name) + " (resumed)");
+      // Checkpoint at a mid-run quiescent cut, resume in a fresh session,
+      // round-tripping the state through the full checkpoint codec.
+      sd::ReplaySession first(config, *world, e.opt);
+      std::vector<su::SimTime> cuts = first.quiescent_cuts(60.0);
+      ASSERT_FALSE(cuts.empty()) << what;
+      first.advance_to(cuts[cuts.size() / 2]);
+      sk::Checkpoint ckpt;
+      ckpt.segment = 1;
+      ckpt.sim_time = first.sim_time();
+      ckpt.world_digest = sk::world_digest(config, *world);
+      su::Writer w;
+      first.save_state(w);
+      ckpt.payload = w.take();
+      std::string error;
+      su::Bytes encoded = sk::encode_checkpoint(ckpt);
+      auto decoded = sk::decode_checkpoint(su::ByteView(encoded), &error);
+      ASSERT_TRUE(decoded.has_value()) << error;
+      sd::ReplaySession second(config, *world, e.opt);
+      su::Reader r{su::ByteView(decoded->payload)};
+      ASSERT_TRUE(second.load_state(r)) << what;
+      second.advance_to(second.horizon());
+      expect_same_result(baseline, second.finish(), what + " (resumed)");
+    }
   }
 }
 
