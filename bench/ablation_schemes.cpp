@@ -6,10 +6,11 @@
 //
 // All variants replay one recorded contact trace through deploy::SweepRunner
 // — identical encounters by construction, not just identical seeds — and
-// run in parallel with --jobs N. A second sweep measures the
+// run in parallel with --jobs N. A second, serial sweep measures the
 // SosConfig::verify_batch_window_s tradeoff: batching received bundles into
 // one signature pass buys verify throughput at the price of dissemination
 // latency bounded by the window.
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -61,14 +62,12 @@ int main(int argc, char** argv) {
   // Same world again (recorded once, replayed for every window) under the
   // chatty epidemic scheme, where re-receptions make signature work the
   // per-encounter bottleneck. The window defers delivery by up to its
-  // length but converts single verifies into batch passes. Each row gets
-  // its own verify memo: with the cell-wide memo the first row would pay
-  // the curve math for every later one, and `wall s` would compare memo
-  // warmth instead of verification paths.
+  // length but converts single verifies into batch passes. The rows run one
+  // after another, each replay with its own run-local verify memo: sharing
+  // one would let the first row pay the curve math for every later one, and
+  // `wall s` would compare memo warmth instead of verification paths.
   deploy::print_heading("Verify-batch window: dissemination latency vs verify throughput");
 
-  deploy::SweepOptions window_opts = opts;
-  window_opts.cell_verify_memo = false;
   deploy::SweepCell batch;
   batch.label = "";
   batch.config = deploy::gainesville_config("epidemic");
@@ -77,22 +76,25 @@ int main(int argc, char** argv) {
       {"window 5s", "epidemic", 86400.0, 5.0},
       {"window 30s", "epidemic", 86400.0, 30.0},
   };
-  auto batch_results = deploy::SweepRunner(window_opts).run({batch});
+  auto world = deploy::record_world(runner.cell_config(batch, 0));
 
   deploy::Table bt({"verify batch", "deliveries", "median delay", "P[<=24h]", "batch passes",
                     "batch fallbacks", "sig verifies", "interrupted", "wall s"});
-  for (const auto& r : batch_results) {
-    const auto& oracle = r.result.oracle;
-    const auto& s = r.result.totals;
+  for (std::size_t v = 0; v < batch.variants.size(); ++v) {
+    auto t0 = std::chrono::steady_clock::now();
+    auto r = deploy::run_scenario(runner.cell_config(batch, 0, v), world.get(),
+                                  {.subepisode_jobs = opts.subepisode_jobs});
+    double wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    const auto& oracle = r.oracle;
+    const auto& s = r.totals;
     auto delays = oracle.delay_cdf(false);
-    bt.set_row(r.variant,
-               {r.label, std::to_string(oracle.delivery_count()),
-                util::format_duration(delays.quantile(0.5)),
-                deploy::fmt(delays.at(util::hours(24)), 3),
-                std::to_string(s.bundle_batch_verifies),
-                std::to_string(s.bundle_batch_fallbacks),
-                std::to_string(s.bundle_sig_cache_misses),
-                std::to_string(s.transfers_interrupted), deploy::fmt(r.wall_s, 2)});
+    bt.set_row(v, {batch.variants[v].label, std::to_string(oracle.delivery_count()),
+                   util::format_duration(delays.quantile(0.5)),
+                   deploy::fmt(delays.at(util::hours(24)), 3),
+                   std::to_string(s.bundle_batch_verifies),
+                   std::to_string(s.bundle_batch_fallbacks),
+                   std::to_string(s.bundle_sig_cache_misses),
+                   std::to_string(s.transfers_interrupted), deploy::fmt(wall_s, 2)});
   }
   bt.print();
   std::printf("a queued bundle is verified at its window deadline or when the session it\n"

@@ -258,12 +258,9 @@ BENCHMARK(BM_DensityCell)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 static void BM_DensityCellReplay(benchmark::State& state) {
   // Intra-cell replay of the HEAVIEST density-ablation cell (100 nodes /
   // 4 km^2 / 3 days — ~80% of the grid's wall-clock). range(0) selects the
-  // row: 0 = mono without the shared verify memo (the pre-memo baseline),
-  // 1 = mono (run_scenario's default), 2 = the contact-strand DAG at 1
-  // worker, 3 = at 4 workers. Metrics are bitwise identical across all four
-  // (tests/episode_test.cpp pins this); the memo is where the >=2x comes
-  // from — each distinct bundle/cert signature pays curve math once per run
-  // instead of once per carrying node. The hotspot chains most contacts
+  // row: 1 = mono (run_scenario's default), 2 = the contact-strand DAG at 1
+  // worker, 3 = at 4 workers. Metrics are bitwise identical across the rows
+  // (tests/episode_test.cpp pins this). The hotspot chains most contacts
   // into one serial megatask, while ContactDag's per-node hull fusion frees
   // the overnight home-pair contacts to overlap it (width > 1).
   auto grid = deploy::density_ablation_grid(3.0);
@@ -273,12 +270,8 @@ static void BM_DensityCellReplay(benchmark::State& state) {
   auto world = deploy::record_world(config);
 
   deploy::ReplayOptions replay;
-  switch (state.range(0)) {
-    case 0: replay.share_verify_memo = false; break;
-    case 1: break;
-    case 2: replay.subepisode_jobs = 1; break;
-    default: replay.subepisode_jobs = 4; break;
-  }
+  if (state.range(0) == 2) replay.subepisode_jobs = 1;
+  if (state.range(0) == 3) replay.subepisode_jobs = 4;
   std::uint64_t deliveries = 0;
   for (auto _ : state) {
     auto result = deploy::run_scenario(config, world.get(), replay);
@@ -293,7 +286,6 @@ static void BM_DensityCellReplay(benchmark::State& state) {
   state.counters["parallelism"] = dag.parallelism();
 }
 BENCHMARK(BM_DensityCellReplay)
-    ->Arg(0)
     ->Arg(1)
     ->Arg(2)
     ->Arg(3)

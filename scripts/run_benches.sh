@@ -19,7 +19,10 @@
 #   2. ASan+UBSan: a combined -DSOS_SANITIZE=address,undefined build in
 #      <build-dir>-asan runs the ENTIRE ctest suite with UB findings fatal
 #      (-fno-sanitize-recover=undefined), then the fast `soak`-labelled
-#      tier again on its own (checkpoint/resume pins under ASan).
+#      tier again on its own (checkpoint/resume pins under ASan). This leg
+#      builds RelWithDebInfo without -DNDEBUG, so the invariant asserts
+#      (verify_bundles' distinct ids, MessageManager::detach, the
+#      save_state quiescence checks, the scheduler's id wrap) run too.
 #   3. TSan: a -DSOS_SANITIZE=thread build in <build-dir>-tsan runs the
 #      `sweep`-, `fault`-, `mw`-, and `soak`-labelled suites, then re-runs the
 #      randomized multi-community harness and the strand-replay pins with
@@ -213,8 +216,12 @@ if [[ $check -eq 1 ]]; then
   asan_dir="${build_dir%/}-asan"
   echo "== ASan+UBSan check: configuring $asan_dir =="
   cmake -B "$asan_dir" -S "$repo_root" -DSOS_SANITIZE=address,undefined \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
   require_cache_flag "$asan_dir" "address,undefined"
+  if grep -q "^CMAKE_CXX_FLAGS_RELWITHDEBINFO:.*NDEBUG" "$asan_dir/CMakeCache.txt"; then
+    echo "error: $asan_dir defines NDEBUG, so its asserts would not run; refusing --check" >&2
+    exit 1
+  fi
   cmake --build "$asan_dir" -j "$(nproc)"
   require_instrumented "$asan_dir" __asan mw_test sweep_test episode_test fault_test soak_test
   require_instrumented "$asan_dir" __ubsan mw_test sweep_test episode_test fault_test soak_test

@@ -19,22 +19,6 @@ VerifyMemo::Key VerifyMemo::key_of(const EdPublicKey& pub, util::ByteView msg,
   return h.finish();
 }
 
-bool VerifyMemo::verify(const EdPublicKey& pub, util::ByteView msg, const EdSignature& sig) {
-  Key key = key_of(pub, msg, sig);
-  Shard& s = shard(key);
-  {
-    util::MutexLock lock(s.mu);
-    auto it = s.verdicts.find(key);
-    if (it != s.verdicts.end()) return it->second;
-  }
-  // Compute outside the lock: the verdict is a pure function of the triple,
-  // so two threads racing on the same key store the same value.
-  bool ok = ed25519_verify(pub, msg, sig);
-  util::MutexLock lock(s.mu);
-  if (s.verdicts.size() < per_shard_cap_) s.verdicts.emplace(key, ok);
-  return ok;
-}
-
 std::optional<bool> VerifyMemo::lookup(const Key& key) const {
   const Shard& s = shard(key);
   util::MutexLock lock(s.mu);
@@ -56,6 +40,17 @@ std::size_t VerifyMemo::size() const {
     n += s.verdicts.size();
   }
   return n;
+}
+
+bool memo_verify(VerifyMemo* memo, const VerifyMemo::Key& key, const EdPublicKey& pub,
+                 util::ByteView msg, const EdSignature& sig) {
+  if (memo == nullptr) return ed25519_verify(pub, msg, sig);
+  if (auto known = memo->lookup(key)) return *known;
+  // Compute outside the shard lock: the verdict is a pure function of the
+  // key, so two threads racing on it store the same value.
+  bool ok = ed25519_verify(pub, msg, sig);
+  memo->store(key, ok);
+  return ok;
 }
 
 }  // namespace sos::crypto

@@ -1,13 +1,22 @@
 // VerifyMemo: a cross-node memo of Ed25519 verification verdicts for
 // deterministic replay engines. In a scenario replay every node re-verifies
-// the same (public key, message, signature) triples — each distinct bundle
-// and certificate is checked once per carrying node — yet the verdict is a
-// pure function of the triple. Sharing one memo across all simulated nodes
-// (and across replay worker threads) collapses that redundancy without
-// changing any simulated metric: per-node counters still record the checks
-// the real device would perform; only the simulator skips recomputing the
-// curve math. Safe under concurrency because a late writer stores the same
-// verdict an earlier writer did.
+// the same signatures — each distinct bundle and certificate is checked once
+// per carrying node — yet the verdict is a pure function of (public key,
+// message, signature). Sharing one memo across all simulated nodes (and
+// across replay worker threads) collapses that redundancy without changing
+// any simulated metric: per-node counters still record the checks the real
+// device would perform; only the simulator skips recomputing the curve math.
+// Safe under concurrency because a late writer stores the same verdict an
+// earlier writer did.
+//
+// A key is any collision-resistant digest that determines the verify
+// inputs, so the verdict is a pure function of the key. Callers hash what
+// they already hold: the middleware keys a bundle signature by its
+// verify-cache digest (bundle signing bytes, bundle signature, certificate
+// body, certificate signature) and a certificate signature by key_of(CA
+// key, body, signature). Two key shapes must never share a preimage: the
+// cache digest's starts with the bundle domain string, key_of's with the
+// CA's public key.
 #pragma once
 
 #include <array>
@@ -32,18 +41,13 @@ class VerifyMemo {
   VerifyMemo(const VerifyMemo&) = delete;
   VerifyMemo& operator=(const VerifyMemo&) = delete;
 
-  using Key = std::array<std::uint8_t, 32>;  // SHA-256 of pub || msg || sig
+  using Key = std::array<std::uint8_t, 32>;
+  /// The generic key: SHA-256 of pub || msg || sig.
   static Key key_of(const EdPublicKey& pub, util::ByteView msg, const EdSignature& sig);
 
-  /// Memoized ed25519_verify(pub, msg, sig): computes the verdict on first
-  /// sight of the triple, returns the stored verdict afterwards.
-  bool verify(const EdPublicKey& pub, util::ByteView msg, const EdSignature& sig);
-
-  /// Stored verdict for a triple, if any (nullopt = not yet computed).
-  /// Batch callers hash the triple once with key_of and reuse the key for
-  /// the matching store() after their batch pass.
+  /// Stored verdict for a key, if any (nullopt = not yet computed).
   std::optional<bool> lookup(const Key& key) const;
-  /// Record a verdict computed externally (e.g. by a batch pass).
+  /// Record a verdict computed outside the memo (memo_verify, a batch pass).
   void store(const Key& key, bool ok);
 
   std::size_t size() const;
@@ -76,5 +80,11 @@ class VerifyMemo {
   std::size_t per_shard_cap_ = kDefaultShardCap;
   Shard shards_[kShards];
 };
+
+/// ed25519_verify(pub, msg, sig) through `memo`: the stored verdict for
+/// `key`, else the computed one, stored. With a null memo it verifies
+/// directly. `key` must determine (pub, msg, sig) — see the header comment.
+bool memo_verify(VerifyMemo* memo, const VerifyMemo::Key& key, const EdPublicKey& pub,
+                 util::ByteView msg, const EdSignature& sig);
 
 }  // namespace sos::crypto

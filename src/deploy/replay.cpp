@@ -353,11 +353,11 @@ ReplaySession::ReplaySession(const ScenarioConfig& config, const ScenarioWorld& 
   im.staging = std::make_unique<sim::Scheduler>();
   im.staging_net = std::make_unique<sim::MpcNetwork>(*im.staging, config.nodes, config.radio);
   // Shared across nodes AND task workers; a caller-owned memo
-  // (replay.memo, the sweep-wide scope) takes precedence over the run-local
-  // one so a cell's variants collapse their cross-variant re-verifies too.
-  crypto::VerifyMemo* verify_memo = replay.memo != nullptr ? replay.memo : &im.run_memo;
+  // (replay.memo, the sweep's per-cell scope) takes precedence over the
+  // run-local one so a cell's variants collapse their cross-variant
+  // re-verifies too.
   detail::build_fleet(im.fleet, config, *im.staging, *im.staging_net,
-                      replay.share_verify_memo ? verify_memo : nullptr, plan);
+                      replay.memo != nullptr ? replay.memo : &im.run_memo, plan);
 
   graph::Digraph social = detail::build_social_graph(config, rng);
   im.result.social = social;

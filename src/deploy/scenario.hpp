@@ -154,17 +154,13 @@ struct ReplayOptions {
   /// strand workers beyond the first borrow tokens from it, so cell- and
   /// strand-level parallelism never oversubscribe the machine together.
   class WorkerBudget* budget = nullptr;
-  /// Share one signature-verdict memo across every node of the replay:
-  /// each distinct (key, message, signature) triple pays curve math once
-  /// per run instead of once per carrying node. Pure-function memoization —
-  /// per-node counters and all metrics are unchanged.
-  bool share_verify_memo = true;
-  /// Optional externally owned memo (sweep-wide scope): when set (and
-  /// share_verify_memo is on), the replay consults/extends this memo
-  /// instead of a run-local one. SweepRunner hands every variant of a cell
-  /// the same memo — one recorded world produces identical bundles and
-  /// certificates per variant, so cross-variant re-verifies collapse too.
-  /// Thread-safe; metrics are bitwise identical to the run-local scope.
+  /// Every node of a replay shares one signature-verdict memo, so each
+  /// distinct signature pays curve math once per run instead of once per
+  /// carrying node. The memo is run-local unless this points at a caller's
+  /// memo, which the replay then consults and extends: SweepRunner hands
+  /// every variant of a cell the same one, since one recorded world yields
+  /// the same bundles and certificates per variant. Thread-safe; metrics
+  /// are bitwise identical whatever the memo holds.
   crypto::VerifyMemo* memo = nullptr;
   /// 0 (default): the mono task list — one task per segment holding every
   /// node, i.e. one scheduler for the whole run. > 0: the contact-strand
@@ -180,7 +176,7 @@ struct ReplayOptions {
 /// must have been recorded from a config with identical world-shaping
 /// fields and seed; run_scenario(config) and run_scenario(config,
 /// record_world(config).get()) are bitwise identical. `replay` selects the
-/// task list and the verify-memo scope.
+/// task list and, optionally, a caller-owned verify memo.
 ScenarioResult run_scenario(const ScenarioConfig& config,
                             const ScenarioWorld* world = nullptr,
                             const ReplayOptions& replay = {});

@@ -90,8 +90,7 @@ std::vector<CellResult> SweepRunner::run(const std::vector<SweepCell>& cells) co
   // Worlds are recorded lazily, once per cell, by whichever worker reaches
   // the cell first; call_once blocks that cell's other variants (not other
   // cells) until the recording is done. The same pass partitions the trace
-  // (for the per-cell parallelism report) and mints the cell's sweep-wide
-  // verify memo.
+  // (for the per-cell parallelism report) and mints the cell's verify memo.
   std::unique_ptr<std::once_flag[]> world_once(new std::once_flag[cells.size()]);
   std::vector<std::shared_ptr<const ScenarioWorld>> worlds(cells.size());
   std::vector<std::unique_ptr<crypto::VerifyMemo>> memos(cells.size());
@@ -124,15 +123,13 @@ std::vector<CellResult> SweepRunner::run(const std::vector<SweepCell>& cells) co
             worlds[item.cell]->trace, config.nodes, util::days(config.days));
         strand_parallelism[item.cell] = dag.parallelism();
         strand_width[item.cell] = dag.width();
-        if (opts_.cell_verify_memo) {
-          memos[item.cell] = std::make_unique<crypto::VerifyMemo>();
-        }
+        memos[item.cell] = std::make_unique<crypto::VerifyMemo>();
       });
       const ScenarioWorld* world = worlds[item.cell].get();
 
       CellResult& out = results[i];
       ReplayOptions item_replay = replay;
-      item_replay.memo = memos[item.cell].get();  // nullptr = run-local scope
+      item_replay.memo = memos[item.cell].get();
       auto t0 = std::chrono::steady_clock::now();
       out.result = run_scenario(config, world, item_replay);
       out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

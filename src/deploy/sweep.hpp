@@ -81,13 +81,6 @@ struct SweepOptions {
   /// pool of `jobs` threads, so the sweep never runs more than `jobs` +
   /// subepisode_jobs - 1 busy threads and usually far fewer.
   std::size_t subepisode_jobs = 0;
-  /// Sweep-wide verify memo: all variants of a cell replay against one
-  /// shared crypto::VerifyMemo (they share one recorded world, hence
-  /// identical bundles and certificates), so each distinct signature pays
-  /// curve math once per cell instead of once per variant. Thread-safe
-  /// across concurrently running variants; metrics are bitwise identical
-  /// to run-local memos (pinned by ctest -L sweep).
-  bool cell_verify_memo = true;
 };
 
 class SweepRunner {
@@ -100,7 +93,9 @@ class SweepRunner {
   /// `jobs`. Every (cell, variant) fault plan is validated up front
   /// (sim::FaultPlanConfig::validate against the cell's horizon and node
   /// count); an insane grid throws std::invalid_argument listing every
-  /// problem before any cell runs.
+  /// problem before any cell runs. The variants of a cell share its
+  /// recorded world and one crypto::VerifyMemo, so each distinct signature
+  /// pays curve math once per cell instead of once per variant.
   std::vector<CellResult> run(const std::vector<SweepCell>& cells) const;
 
   /// The exact config `run` executes for one (cell, variant) — including

@@ -1,5 +1,6 @@
 #include "mw/adhoc_manager.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <set>
@@ -508,7 +509,11 @@ bool AdHocManager::load_state(util::Reader& r) {
     std::string key = r.str();
     advert_info[key] = r.str();
   }
+  // save_state writes each cache entry once and never more than the
+  // capacity the owner re-applied before this call; a repeated key would
+  // leave an LRU node the map no longer owns.
   std::uint64_t verify_n = r.varint();
+  if (verify_n > verify_cache_capacity_) return false;
   std::map<bundle::BundleId, VerifyCacheEntry> verify_cache;
   std::list<bundle::BundleId> verify_lru;
   for (std::uint64_t i = 0; i < verify_n && r.ok(); ++i) {
@@ -517,9 +522,12 @@ bool AdHocManager::load_state(util::Reader& r) {
     id.msg_num = r.u32();
     VerifyDigest digest = r.raw_array<32>();
     verify_lru.push_back(id);
-    verify_cache[id] = VerifyCacheEntry{digest, std::prev(verify_lru.end())};
+    if (!verify_cache.emplace(id, VerifyCacheEntry{digest, std::prev(verify_lru.end())}).second) {
+      return false;
+    }
   }
   std::uint64_t resume_n = r.varint();
+  if (resume_n > resume_cache_capacity_) return false;
   std::map<Fingerprint, ResumeEntry> resume_cache;
   std::list<Fingerprint> resume_lru;
   for (std::uint64_t i = 0; i < resume_n && r.ok(); ++i) {
@@ -532,7 +540,7 @@ bool AdHocManager::load_state(util::Reader& r) {
     entry.cert = std::move(*cert);
     resume_lru.push_back(fp);
     entry.lru_it = std::prev(resume_lru.end());
-    resume_cache.emplace(fp, std::move(entry));
+    if (!resume_cache.emplace(fp, std::move(entry)).second) return false;
   }
   std::uint64_t hints = r.varint();
   std::map<sim::PeerId, Fingerprint> resume_hint;
@@ -641,12 +649,6 @@ void AdHocManager::set_verify_cache_capacity(std::size_t capacity) {
   }
 }
 
-bool AdHocManager::check_signature(const crypto::EdPublicKey& pub, util::ByteView msg,
-                                   const crypto::EdSignature& sig) {
-  if (verify_memo_) return verify_memo_->verify(pub, msg, sig);
-  return crypto::ed25519_verify(pub, msg, sig);
-}
-
 AdHocManager::Screened AdHocManager::screen_bundle(const bundle::Bundle& b,
                                                   const pki::Certificate& cert) {
   Screened out;
@@ -657,9 +659,11 @@ AdHocManager::Screened AdHocManager::screen_bundle(const bundle::Bundle& b,
     ++stats_.bundle_cert_rejected;
     return out;
   }
-  // Serialize once; the digest and both signature checks share the buffers.
-  // The digest is unambiguous: both signing_bytes encodings are
+  // Serialize and hash once; both signature checks share the buffers and
+  // keys. The digest is unambiguous: both signing_bytes encodings are
   // fixed-layout with length-prefixed fields, and signatures are fixed-size.
+  // It determines (cert.subject_key, bundle bytes, bundle signature), so it
+  // is also the memo key of the bundle-signature verdict.
   out.bundle_signed = b.signing_bytes();
   out.cert_signed = cert.signing_bytes();
   crypto::Sha256 h;
@@ -677,6 +681,8 @@ AdHocManager::Screened AdHocManager::screen_bundle(const bundle::Bundle& b,
   }
   ++stats_.bundle_sig_cache_misses;
   out.verdict = Screened::kVerify;
+  out.cert_key = crypto::VerifyMemo::key_of(creds_.trust.root_key(), out.cert_signed,
+                                            cert.signature);
   return out;
 }
 
@@ -684,11 +690,13 @@ bool AdHocManager::verify_bundle(const bundle::Bundle& b, const pki::Certificate
   if (!verify_signatures_) return true;  // unsigned-baseline ablation
   Screened s = screen_bundle(b, origin_cert);
   if (s.verdict != Screened::kVerify) return s.verdict == Screened::kCached;
-  if (!check_signature(creds_.trust.root_key(), s.cert_signed, origin_cert.signature)) {
+  if (!crypto::memo_verify(verify_memo_, s.cert_key, creds_.trust.root_key(), s.cert_signed,
+                           origin_cert.signature)) {
     ++stats_.bundle_cert_rejected;
     return false;
   }
-  if (!check_signature(origin_cert.subject_key, s.bundle_signed, b.signature)) {
+  if (!crypto::memo_verify(verify_memo_, s.digest, origin_cert.subject_key, s.bundle_signed,
+                           b.signature)) {
     ++stats_.bundle_sig_rejected;
     return false;
   }
@@ -725,57 +733,49 @@ std::vector<bool> AdHocManager::verify_bundles(const std::vector<BundleToVerify>
   }
   if (pending.empty()) return ok;
   // One batch item per DISTINCT certificate (a burst from one origin pays
-  // the CA-signature check once) plus one per bundle. Dedup keys on a hash
-  // of the full certificate body AND signature: a forged body carrying a
-  // copied signature must not alias onto a legitimate certificate's
-  // verdict, and hashing avoids copying the body into the map key.
+  // the CA-signature check once) plus one per bundle. Dedup keys on the
+  // certificate's memo key, which covers the full body AND signature: a
+  // forged body carrying a copied signature must not alias onto a
+  // legitimate certificate's verdict.
   std::vector<crypto::EdBatchItem> items;
-  std::map<crypto::Sha256::Digest, std::size_t> cert_items;
+  std::vector<crypto::VerifyMemo::Key> keys;  // memo key of each item
+  std::map<crypto::VerifyMemo::Key, std::size_t> cert_items;
   for (Pending& p : pending) {
     const pki::Certificate& cert = *batch[p.index].cert;
-    crypto::Sha256 ch;
-    ch.update(p.screen.cert_signed);
-    ch.update(util::ByteView(cert.signature.data(), cert.signature.size()));
-    auto [cit, fresh] = cert_items.try_emplace(ch.finish(), items.size());
-    if (fresh) items.push_back({creds_.trust.root_key(), p.screen.cert_signed, cert.signature});
+    auto [cit, fresh] = cert_items.try_emplace(p.screen.cert_key, items.size());
+    if (fresh) {
+      items.push_back({creds_.trust.root_key(), p.screen.cert_signed, cert.signature});
+      keys.push_back(p.screen.cert_key);
+    }
     p.cert_item = cit->second;
     p.bundle_item = items.size();
     items.push_back({cert.subject_key, p.screen.bundle_signed, batch[p.index].bundle->signature});
+    keys.push_back(p.screen.digest);
   }
+  // Resolve what the shared memo already knows (nothing without one), batch
+  // the residue and store its verdicts. Counter semantics do not depend on
+  // the memo: the simulated node performed one batch pass either way, and a
+  // fallback means some verdict in the pass was false.
   ++stats_.bundle_batch_verifies;
-  std::vector<bool> verdicts;
-  if (verify_memo_) {
-    // Resolve what the shared memo already knows and batch only the residue.
-    // Counter semantics are untouched: the simulated node performed one
-    // batch pass either way; the memo only skips redundant curve math, and
-    // a fallback means what it always meant — some entry was bad.
-    verdicts.assign(items.size(), false);
-    std::vector<std::size_t> unknown;
-    std::vector<crypto::VerifyMemo::Key> unknown_keys;  // hashed once, reused by store
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      auto key = crypto::VerifyMemo::key_of(items[i].pub, items[i].msg, items[i].sig);
-      if (auto known = verify_memo_->lookup(key)) {
-        verdicts[i] = *known;
-      } else {
-        unknown.push_back(i);
-        unknown_keys.push_back(key);
-      }
+  std::vector<bool> verdicts(items.size(), false);
+  std::vector<std::size_t> unknown;
+  std::vector<crypto::EdBatchItem> residue;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    std::optional<bool> known = verify_memo_ ? verify_memo_->lookup(keys[i]) : std::nullopt;
+    if (known) {
+      verdicts[i] = *known;
+    } else {
+      unknown.push_back(i);
+      residue.push_back(items[i]);
     }
-    if (!unknown.empty()) {
-      std::vector<crypto::EdBatchItem> residue;
-      residue.reserve(unknown.size());
-      for (std::size_t i : unknown) residue.push_back(items[i]);
-      std::vector<bool> residue_verdicts;
-      crypto::ed25519_verify_batch(residue, &residue_verdicts);
-      for (std::size_t k = 0; k < unknown.size(); ++k) {
-        verdicts[unknown[k]] = residue_verdicts[k];
-        verify_memo_->store(unknown_keys[k], residue_verdicts[k]);
-      }
-    }
-    bool all_ok = true;
-    for (bool v : verdicts) all_ok = all_ok && v;
-    if (!all_ok) ++stats_.bundle_batch_fallbacks;
-  } else if (!crypto::ed25519_verify_batch(items, &verdicts)) {
+  }
+  std::vector<bool> residue_verdicts;
+  crypto::ed25519_verify_batch(residue, &residue_verdicts);
+  for (std::size_t k = 0; k < unknown.size(); ++k) {
+    verdicts[unknown[k]] = residue_verdicts[k];
+    if (verify_memo_) verify_memo_->store(keys[unknown[k]], residue_verdicts[k]);
+  }
+  if (std::find(verdicts.begin(), verdicts.end(), false) != verdicts.end()) {
     ++stats_.bundle_batch_fallbacks;
   }
 

@@ -85,9 +85,10 @@ class AdHocManager {
   /// untouched — this ablates bundle trust, not transport encryption.
   void set_verify_signatures(bool on) { verify_signatures_ = on; }
 
-  /// Share a cross-node memo of signature verdicts (replay engines): the
-  /// bundle/cert checks below consult it before doing curve math. Counters
-  /// are unaffected — the memo only skips recomputing a pure function.
+  /// Share a cross-node memo of signature verdicts (replay engines): every
+  /// certificate and bundle signature check consults it before doing curve
+  /// math, keyed by the digests screening already computed. Counters are
+  /// unaffected — the memo only skips recomputing a pure function.
   void set_verify_memo(crypto::VerifyMemo* memo) { verify_memo_ = memo; }
 
   /// Replace the plain-text advertisement dictionary (UserID -> MsgNumber).
@@ -107,10 +108,12 @@ class AdHocManager {
 
   /// Verify a received bundle end to end: origin certificate chains to the
   /// CA root, is time-valid and unrevoked, binds the claimed origin id, and
-  /// the bundle signature checks out under the certified key. Signature
-  /// verdicts are memoized in an LRU cache keyed by bundle id + content
-  /// digest, so epidemic/spray re-receptions skip the two signature checks;
-  /// the time-dependent policy half is re-evaluated on every call.
+  /// the bundle signature checks out under the certified key. Accepted
+  /// bundles enter an LRU cache keyed by bundle id + content digest D, so
+  /// epidemic/spray re-receptions skip the two signature checks; the
+  /// time-dependent policy half is re-evaluated on every call. A reception
+  /// hashes its bytes once, into D; a cache miss adds the certificate's
+  /// memo key. The two checks take those keys to the shared memo.
   bool verify_bundle(const bundle::Bundle& b, const pki::Certificate& origin_cert);
 
   /// Batch counterpart: verifies a burst of received bundles with one
@@ -219,22 +222,21 @@ class AdHocManager {
   };
 
   /// A received bundle after the screening step both verification paths
-  /// share. With kVerify, the signing bytes and cache digest the two
-  /// signature checks still need.
+  /// share. With kVerify, the signing bytes and the two memo keys the
+  /// signature checks still need: the cache digest D (bundle signature) and
+  /// the certificate key (CA signature).
   struct Screened {
     enum Verdict { kRejected, kCached, kVerify } verdict = kRejected;
     util::Bytes bundle_signed;
     util::Bytes cert_signed;
     VerifyDigest digest{};
+    crypto::VerifyMemo::Key cert_key{};
   };
   /// Certificate policy (issuer, validity window, CRL) plus the Fig 2a
-  /// identity binding, then signing bytes, digest and verify-cache lookup.
-  /// Counts the policy rejection, cache hit or cache miss.
+  /// identity binding, then signing bytes, digest and verify-cache lookup;
+  /// on a miss, the certificate key. Counts the policy rejection, cache hit
+  /// or cache miss.
   Screened screen_bundle(const bundle::Bundle& b, const pki::Certificate& cert);
-
-  /// ed25519_verify, routed through the shared memo when one is attached.
-  bool check_signature(const crypto::EdPublicKey& pub, util::ByteView msg,
-                       const crypto::EdSignature& sig);
 
   void install_endpoint_callbacks();
 

@@ -68,12 +68,11 @@ void TrustStore::add_revoked(std::uint64_t serial) {
 
 VerifyResult TrustStore::verify(const Certificate& cert, util::SimTime now,
                                 crypto::VerifyMemo* memo) const {
-  if (!has_root_ || cert.issuer_name != issuer_name_) return VerifyResult::UnknownIssuer;
+  // Precedence: issuer, then signature, then validity window and CRL.
+  VerifyResult policy = verify_policy(cert, now);
+  if (policy == VerifyResult::UnknownIssuer) return policy;
   if (!verify_signature(cert, memo)) return VerifyResult::BadSignature;
-  if (now < cert.not_before) return VerifyResult::NotYetValid;
-  if (now > cert.not_after) return VerifyResult::Expired;
-  if (crl_.count(cert.serial) > 0) return VerifyResult::Revoked;
-  return VerifyResult::Ok;
+  return policy;
 }
 
 VerifyResult TrustStore::verify_policy(const Certificate& cert, util::SimTime now) const {
@@ -86,8 +85,8 @@ VerifyResult TrustStore::verify_policy(const Certificate& cert, util::SimTime no
 
 bool TrustStore::verify_signature(const Certificate& cert, crypto::VerifyMemo* memo) const {
   util::Bytes body = cert.signing_bytes();
-  if (memo) return memo->verify(root_key_, body, cert.signature);
-  return crypto::ed25519_verify(root_key_, body, cert.signature);
+  return crypto::memo_verify(memo, crypto::VerifyMemo::key_of(root_key_, body, cert.signature),
+                             root_key_, body, cert.signature);
 }
 
 VerifyResult TrustStore::verify_identity(const Certificate& cert, const UserId& expected,

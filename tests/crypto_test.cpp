@@ -605,7 +605,7 @@ TEST_P(Ed25519RoundTrip, SignVerifyRandomKeysAndMessages) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Ed25519RoundTrip, ::testing::Range(0, 10));
 
-// --- VerifyMemo (sweep-wide signature-verdict memo) -------------------------------
+// --- VerifyMemo (shared signature-verdict memo) -----------------------------------
 
 namespace {
 struct MemoItem {
@@ -632,6 +632,12 @@ std::vector<MemoItem> memo_items(std::size_t n, const std::string& label) {
   }
   return items;
 }
+
+/// The memoized check under the generic key.
+bool memo_check(sc::VerifyMemo& memo, const MemoItem& item) {
+  return sc::memo_verify(&memo, sc::VerifyMemo::key_of(item.pub, item.msg, item.sig), item.pub,
+                         item.msg, item.sig);
+}
 }  // namespace
 
 TEST(VerifyMemo, ConcurrentHammeringKeepsVerdictsStable) {
@@ -652,7 +658,7 @@ TEST(VerifyMemo, ConcurrentHammeringKeepsVerdictsStable) {
         for (std::size_t i = 0; i < items.size(); ++i) {
           // Distinct, overlapping traversal order per thread.
           const MemoItem& item = items[(i * (t + 1) + round) % items.size()];
-          if (memo.verify(item.pub, item.msg, item.sig) != item.valid) ++mismatches;
+          if (memo_check(memo, item) != item.valid) ++mismatches;
         }
       }
     });
@@ -691,13 +697,13 @@ TEST(VerifyMemo, CapacityBoundsGrowthWithoutChangingVerdicts) {
   EXPECT_EQ(memo.capacity(), 32u);
   const auto items = memo_items(96, "capacity");
   for (const auto& item : items) {
-    EXPECT_EQ(memo.verify(item.pub, item.msg, item.sig), item.valid);
+    EXPECT_EQ(memo_check(memo, item), item.valid);
   }
   EXPECT_LE(memo.size(), memo.capacity());
   EXPECT_GT(memo.size(), 0u);
   // Re-verifying the same set recomputes the evicted ones but never lies.
   for (const auto& item : items) {
-    EXPECT_EQ(memo.verify(item.pub, item.msg, item.sig), item.valid);
+    EXPECT_EQ(memo_check(memo, item), item.valid);
   }
   EXPECT_LE(memo.size(), memo.capacity());
   // store() respects the same bound.

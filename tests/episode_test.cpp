@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/verify_memo.hpp"
 #include "deploy/replay.hpp"
 #include "deploy/sweep.hpp"
 #include "result_eq.hpp"
@@ -21,6 +22,7 @@
 #include "sim/subepisode.hpp"
 #include "util/rng.hpp"
 
+namespace sc = sos::crypto;
 namespace sd = sos::deploy;
 namespace sg = sos::graph;
 namespace ss = sos::sim;
@@ -178,7 +180,11 @@ TEST(SubepisodeReplay, BitwiseIdenticalToMonoAtAnyWorkerCount) {
   }
 }
 
-TEST(MonoReplay, SharedVerifyMemoDoesNotChangeMetrics) {
+TEST(MonoReplay, PrewarmedVerifyMemoMatchesColdRun) {
+  // Every replay shares a verify memo between its nodes. The memo only
+  // skips recomputing a pure function, so a replay whose memo already holds
+  // every verdict of the run (pre-warmed by an identical replay) must equal
+  // a cold run bitwise, and must find nothing new to store.
   sd::ScenarioConfig config = sd::gainesville_config("epidemic", su::derive_seed(13, 0));
   config.nodes = 14;
   config.area_w_m = 2000;
@@ -186,13 +192,19 @@ TEST(MonoReplay, SharedVerifyMemoDoesNotChangeMetrics) {
   config.days = 1.0;
   config.total_posts_target = 60;
   auto world = sd::record_world(config);
-  auto with_memo = sd::run_scenario(config, world.get(), {.share_verify_memo = true});
-  auto without = sd::run_scenario(config, world.get(), {.share_verify_memo = false});
-  expect_same_result(with_memo, without, "shared memo vs none");
-  EXPECT_GT(with_memo.oracle.delivery_count(), 0u);
+  auto cold = sd::run_scenario(config, world.get());
+
+  sc::VerifyMemo memo;
+  sd::run_scenario(config, world.get(), {.memo = &memo});
+  const std::size_t entries = memo.size();
+  ASSERT_GT(entries, 0u);
+  auto warm = sd::run_scenario(config, world.get(), {.memo = &memo});
+  expect_same_result(cold, warm, "pre-warmed memo vs cold");
+  EXPECT_EQ(memo.size(), entries);
+  EXPECT_GT(cold.oracle.delivery_count(), 0u);
   // The memo must not leak into the per-node counters: every node still
   // records the verifies the real device would perform.
-  EXPECT_GT(with_memo.totals.bundle_sig_cache_misses, 0u);
+  EXPECT_GT(warm.totals.bundle_sig_cache_misses, 0u);
 }
 
 TEST(SubepisodeReplay, SweepRunnerSubepisodeJobsMatchesMono) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <string>
 #include <vector>
@@ -13,10 +14,12 @@
 #include "bundle/store.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/verify_memo.hpp"
 #include "mw/sos_node.hpp"
 #include "pki/bootstrap.hpp"
 #include "sim/multipeer.hpp"
 #include "sim/scheduler.hpp"
+#include "util/codec.hpp"
 #include "util/rng.hpp"
 
 namespace sb = sos::bundle;
@@ -29,7 +32,8 @@ namespace su = sos::util;
 namespace {
 
 /// An AdHocManager with real credentials plus a second signed-up publisher
-/// whose bundles it verifies.
+/// whose bundles it verifies, optionally sharing a verify memo. Every
+/// verdict it hands out is recorded, so a case can compare runs.
 struct VerifyRig {
   ss::Scheduler sched;
   sp::BootstrapService infra{su::to_bytes("verify-rig")};
@@ -38,8 +42,9 @@ struct VerifyRig {
   sp::DeviceCredentials publisher_creds;
   sm::NodeStats stats;
   sm::AdHocManager adhoc;
+  std::vector<bool> verdicts;
 
-  VerifyRig()
+  explicit VerifyRig(sc::VerifyMemo* memo)
       : verifier_creds([this] {
           sc::Drbg d(su::to_bytes("verifier-dev"));
           return *infra.signup("verifier", d, 0.0);
@@ -48,7 +53,9 @@ struct VerifyRig {
           sc::Drbg d(su::to_bytes("publisher-dev"));
           return *infra.signup("publisher", d, 0.0);
         }()),
-        adhoc(sched, net.endpoint(0), verifier_creds, stats) {}
+        adhoc(sched, net.endpoint(0), verifier_creds, stats) {
+    adhoc.set_verify_memo(memo);
+  }
 
   sb::Bundle make_bundle(std::uint32_t num, const std::string& text = "post") {
     sb::Bundle b;
@@ -59,108 +66,181 @@ struct VerifyRig {
     b.sign(publisher_creds.signing_keypair);
     return b;
   }
+
+  bool verify(const sb::Bundle& b) { return verify(b, publisher_creds.certificate); }
+  bool verify(const sb::Bundle& b, const sp::Certificate& cert) {
+    verdicts.push_back(adhoc.verify_bundle(b, cert));
+    return verdicts.back();
+  }
+  std::vector<bool> verify_all(const std::vector<sm::AdHocManager::BundleToVerify>& batch) {
+    auto ok = adhoc.verify_bundles(batch);
+    verdicts.insert(verdicts.end(), ok.begin(), ok.end());
+    return ok;
+  }
 };
+
+/// What one run of a case saw: every verdict, then every counter, per rig.
+struct Observed {
+  std::vector<bool> verdicts;
+  std::vector<sm::NodeStats> stats;
+  bool operator==(const Observed&) const = default;
+  void add(const VerifyRig& rig) {
+    verdicts.insert(verdicts.end(), rig.verdicts.begin(), rig.verdicts.end());
+    stats.push_back(rig.stats);
+  }
+};
+
+/// Runs a case — `body(memo)` builds its rigs on `memo` and returns what it
+/// observed — with no memo, a cold memo, and a memo pre-warmed by the same
+/// calls. The memo only skips recomputing pure functions, so verdicts and
+/// every counter must agree across the three.
+template <class Body>
+void expect_memo_invariant(Body body) {
+  Observed none;
+  {
+    SCOPED_TRACE("no memo");
+    none = body(nullptr);
+  }
+  sc::VerifyMemo cold;
+  {
+    SCOPED_TRACE("cold memo");
+    EXPECT_TRUE(body(&cold) == none) << "a cold memo changed a verdict or counter";
+  }
+  ASSERT_GT(cold.size(), 0u);
+  sc::VerifyMemo warm;
+  SCOPED_TRACE("pre-warmed memo");
+  body(&warm);
+  const std::size_t entries = warm.size();
+  EXPECT_TRUE(body(&warm) == none) << "a pre-warmed memo changed a verdict or counter";
+  EXPECT_EQ(warm.size(), entries);  // every verdict was already stored
+}
 
 }  // namespace
 
 // --- verified-bundle cache ---------------------------------------------------
 
 TEST(VerifyCache, ReReceptionSkipsSignatureCheck) {
-  VerifyRig rig;
-  auto b = rig.make_bundle(1);
-  EXPECT_TRUE(rig.adhoc.verify_bundle(b, rig.publisher_creds.certificate));
-  EXPECT_EQ(rig.stats.bundle_sig_cache_misses, 1u);
-  EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 0u);
+  expect_memo_invariant([](sc::VerifyMemo* memo) {
+    VerifyRig rig(memo);
+    auto b = rig.make_bundle(1);
+    EXPECT_TRUE(rig.verify(b));
+    EXPECT_EQ(rig.stats.bundle_sig_cache_misses, 1u);
+    EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 0u);
 
-  // Same bundle arrives again (epidemic re-reception): cache hit.
-  EXPECT_TRUE(rig.adhoc.verify_bundle(b, rig.publisher_creds.certificate));
-  EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);
-  EXPECT_EQ(rig.stats.bundle_sig_cache_misses, 1u);
+    // Same bundle arrives again (epidemic re-reception): cache hit.
+    EXPECT_TRUE(rig.verify(b));
+    EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);
+    EXPECT_EQ(rig.stats.bundle_sig_cache_misses, 1u);
+    Observed seen;
+    seen.add(rig);
+    return seen;
+  });
 }
 
 TEST(VerifyCache, TamperedReplayWithCachedIdIsRejected) {
-  VerifyRig rig;
-  auto b = rig.make_bundle(1, "genuine");
-  EXPECT_TRUE(rig.adhoc.verify_bundle(b, rig.publisher_creds.certificate));
+  expect_memo_invariant([](sc::VerifyMemo* memo) {
+    VerifyRig rig(memo);
+    auto b = rig.make_bundle(1, "genuine");
+    EXPECT_TRUE(rig.verify(b));
 
-  // Attacker replays the cached id with different content: digest differs,
-  // so the cache must not vouch for it and the signature check must fail.
-  auto forged = b;
-  forged.payload = su::to_bytes("forged!");
-  EXPECT_FALSE(rig.adhoc.verify_bundle(forged, rig.publisher_creds.certificate));
-  EXPECT_EQ(rig.stats.bundle_sig_rejected, 1u);
-  EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 0u);
+    // Attacker replays the cached id with different content: digest
+    // differs, so the cache must not vouch for it and the signature check
+    // must fail.
+    auto forged = b;
+    forged.payload = su::to_bytes("forged!");
+    EXPECT_FALSE(rig.verify(forged));
+    EXPECT_EQ(rig.stats.bundle_sig_rejected, 1u);
+    EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 0u);
 
-  // The genuine bundle still hits the cache afterwards.
-  EXPECT_TRUE(rig.adhoc.verify_bundle(b, rig.publisher_creds.certificate));
-  EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);
+    // The genuine bundle still hits the cache afterwards.
+    EXPECT_TRUE(rig.verify(b));
+    EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);
+    Observed seen;
+    seen.add(rig);
+    return seen;
+  });
 }
 
 TEST(VerifyCache, RevocationOverridesCache) {
-  VerifyRig rig;
-  auto b = rig.make_bundle(1);
-  EXPECT_TRUE(rig.adhoc.verify_bundle(b, rig.publisher_creds.certificate));
+  expect_memo_invariant([](sc::VerifyMemo* memo) {
+    VerifyRig rig(memo);
+    auto b = rig.make_bundle(1);
+    EXPECT_TRUE(rig.verify(b));
 
-  // Revoke the publisher after its bundle was cached: the policy half runs
-  // on every reception, so the cache must not resurrect the bundle.
-  rig.verifier_creds.trust.add_revoked(rig.publisher_creds.certificate.serial);
-  EXPECT_FALSE(rig.adhoc.verify_bundle(b, rig.publisher_creds.certificate));
-  EXPECT_EQ(rig.stats.bundle_cert_rejected, 1u);
+    // Revoke the publisher after its bundle was cached: the policy half
+    // runs on every reception, so the cache must not resurrect the bundle.
+    rig.verifier_creds.trust.add_revoked(rig.publisher_creds.certificate.serial);
+    EXPECT_FALSE(rig.verify(b));
+    EXPECT_EQ(rig.stats.bundle_cert_rejected, 1u);
+    Observed seen;
+    seen.add(rig);
+    return seen;
+  });
 }
 
 TEST(VerifyCache, LruBoundEvictsOldestEntry) {
-  VerifyRig rig;
-  rig.adhoc.set_verify_cache_capacity(2);
-  auto b1 = rig.make_bundle(1);
-  auto b2 = rig.make_bundle(2);
-  auto b3 = rig.make_bundle(3);
-  const auto& cert = rig.publisher_creds.certificate;
-  EXPECT_TRUE(rig.adhoc.verify_bundle(b1, cert));
-  EXPECT_TRUE(rig.adhoc.verify_bundle(b2, cert));
-  EXPECT_TRUE(rig.adhoc.verify_bundle(b3, cert));  // evicts b1
-  EXPECT_EQ(rig.stats.bundle_sig_cache_misses, 3u);
+  expect_memo_invariant([](sc::VerifyMemo* memo) {
+    VerifyRig rig(memo);
+    rig.adhoc.set_verify_cache_capacity(2);
+    auto b1 = rig.make_bundle(1);
+    auto b2 = rig.make_bundle(2);
+    auto b3 = rig.make_bundle(3);
+    EXPECT_TRUE(rig.verify(b1));
+    EXPECT_TRUE(rig.verify(b2));
+    EXPECT_TRUE(rig.verify(b3));  // evicts b1
+    EXPECT_EQ(rig.stats.bundle_sig_cache_misses, 3u);
 
-  EXPECT_TRUE(rig.adhoc.verify_bundle(b1, cert));  // re-verified, not cached
-  EXPECT_EQ(rig.stats.bundle_sig_cache_misses, 4u);
-  EXPECT_TRUE(rig.adhoc.verify_bundle(b3, cert));  // still cached
-  EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);
+    EXPECT_TRUE(rig.verify(b1));  // re-verified, not cached
+    EXPECT_EQ(rig.stats.bundle_sig_cache_misses, 4u);
+    EXPECT_TRUE(rig.verify(b3));  // still cached
+    EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);
+    Observed seen;
+    seen.add(rig);
+    return seen;
+  });
 }
 
 // --- batch bundle verification ----------------------------------------------
 
 TEST(VerifyBatch, AllValidVerifiedInOnePass) {
-  VerifyRig rig;
-  std::vector<sb::Bundle> bundles;
-  for (std::uint32_t i = 1; i <= 4; ++i) bundles.push_back(rig.make_bundle(i));
-  std::vector<sm::AdHocManager::BundleToVerify> batch;
-  for (const auto& b : bundles) batch.push_back({&b, &rig.publisher_creds.certificate});
+  expect_memo_invariant([](sc::VerifyMemo* memo) {
+    VerifyRig rig(memo);
+    std::vector<sb::Bundle> bundles;
+    for (std::uint32_t i = 1; i <= 4; ++i) bundles.push_back(rig.make_bundle(i));
+    std::vector<sm::AdHocManager::BundleToVerify> batch;
+    for (const auto& b : bundles) batch.push_back({&b, &rig.publisher_creds.certificate});
 
-  auto ok = rig.adhoc.verify_bundles(batch);
-  EXPECT_TRUE(std::all_of(ok.begin(), ok.end(), [](bool v) { return v; }));
-  EXPECT_EQ(rig.stats.bundle_batch_verifies, 1u);
-  EXPECT_EQ(rig.stats.bundle_batch_fallbacks, 0u);
+    auto ok = rig.verify_all(batch);
+    EXPECT_TRUE(std::all_of(ok.begin(), ok.end(), [](bool v) { return v; }));
+    EXPECT_EQ(rig.stats.bundle_batch_verifies, 1u);
+    EXPECT_EQ(rig.stats.bundle_batch_fallbacks, 0u);
 
-  // Everything verified in the batch is now cached.
-  EXPECT_TRUE(rig.adhoc.verify_bundle(bundles[0], rig.publisher_creds.certificate));
-  EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);
+    // Everything verified in the batch is now cached.
+    EXPECT_TRUE(rig.verify(bundles[0]));
+    EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);
+    Observed seen;
+    seen.add(rig);
+    return seen;
+  });
 }
 
 TEST(VerifyBatch, CorruptedBundleIsIsolated) {
-  VerifyRig rig;
-  std::vector<sb::Bundle> bundles;
-  for (std::uint32_t i = 1; i <= 4; ++i) bundles.push_back(rig.make_bundle(i));
-  bundles[2].payload = su::to_bytes("tampered in flight");  // signature now wrong
-  std::vector<sm::AdHocManager::BundleToVerify> batch;
-  for (const auto& b : bundles) batch.push_back({&b, &rig.publisher_creds.certificate});
+  expect_memo_invariant([](sc::VerifyMemo* memo) {
+    VerifyRig rig(memo);
+    std::vector<sb::Bundle> bundles;
+    for (std::uint32_t i = 1; i <= 4; ++i) bundles.push_back(rig.make_bundle(i));
+    bundles[2].payload = su::to_bytes("tampered in flight");  // signature now wrong
+    std::vector<sm::AdHocManager::BundleToVerify> batch;
+    for (const auto& b : bundles) batch.push_back({&b, &rig.publisher_creds.certificate});
 
-  auto ok = rig.adhoc.verify_bundles(batch);
-  ASSERT_EQ(ok.size(), 4u);
-  EXPECT_TRUE(ok[0]);
-  EXPECT_TRUE(ok[1]);
-  EXPECT_FALSE(ok[2]);
-  EXPECT_TRUE(ok[3]);
-  EXPECT_EQ(rig.stats.bundle_batch_fallbacks, 1u);
-  EXPECT_EQ(rig.stats.bundle_sig_rejected, 1u);
+    auto ok = rig.verify_all(batch);
+    EXPECT_EQ(ok, (std::vector<bool>{true, true, false, true}));
+    EXPECT_EQ(rig.stats.bundle_batch_fallbacks, 1u);
+    EXPECT_EQ(rig.stats.bundle_sig_rejected, 1u);
+    Observed seen;
+    seen.add(rig);
+    return seen;
+  });
 }
 
 TEST(VerifyBatch, ForgedCertBodyWithCopiedSignatureDoesNotAliasLegitimateCert) {
@@ -168,39 +248,129 @@ TEST(VerifyBatch, ForgedCertBodyWithCopiedSignatureDoesNotAliasLegitimateCert) {
   // (attacker's key bound to the publisher's id) but whose signature bytes
   // were copied from the real certificate must not inherit the real
   // certificate's batch verdict.
-  VerifyRig rig;
-  auto legit = rig.make_bundle(1);
+  expect_memo_invariant([](sc::VerifyMemo* memo) {
+    VerifyRig rig(memo);
+    auto legit = rig.make_bundle(1);
 
-  sc::Drbg attacker_rng(su::to_bytes("attacker"));
-  auto attacker_keys = sc::Ed25519Keypair::from_seed(attacker_rng.generate_array<32>());
-  sp::Certificate forged_cert = rig.publisher_creds.certificate;  // copied signature
-  forged_cert.subject_key = attacker_keys.public_key();           // swapped body
-  sb::Bundle forged;
-  forged.origin = rig.publisher_creds.user_id;  // claims the publisher's id
-  forged.msg_num = 2;
-  forged.payload = su::to_bytes("forged");
-  forged.sign(attacker_keys);
+    sc::Drbg attacker_rng(su::to_bytes("attacker"));
+    auto attacker_keys = sc::Ed25519Keypair::from_seed(attacker_rng.generate_array<32>());
+    sp::Certificate forged_cert = rig.publisher_creds.certificate;  // copied signature
+    forged_cert.subject_key = attacker_keys.public_key();           // swapped body
+    sb::Bundle forged;
+    forged.origin = rig.publisher_creds.user_id;  // claims the publisher's id
+    forged.msg_num = 2;
+    forged.payload = su::to_bytes("forged");
+    forged.sign(attacker_keys);
 
-  // Legit first so the forged cert would alias onto its verdict if dedup
-  // keyed on signature bytes alone.
-  std::vector<sm::AdHocManager::BundleToVerify> batch = {
-      {&legit, &rig.publisher_creds.certificate}, {&forged, &forged_cert}};
-  auto ok = rig.adhoc.verify_bundles(batch);
-  EXPECT_TRUE(ok[0]);
-  EXPECT_FALSE(ok[1]);
-  EXPECT_EQ(rig.stats.bundle_cert_rejected, 1u);
+    // Legit first so the forged cert would alias onto its verdict if dedup
+    // keyed on signature bytes alone.
+    auto ok = rig.verify_all({{&legit, &rig.publisher_creds.certificate}, {&forged, &forged_cert}});
+    EXPECT_TRUE(ok[0]);
+    EXPECT_FALSE(ok[1]);
+    EXPECT_EQ(rig.stats.bundle_cert_rejected, 1u);
 
-  // Reverse order: the legitimate bundle must not be dragged down either.
-  VerifyRig rig2;
-  auto legit2 = rig2.make_bundle(1);
-  sp::Certificate forged2 = rig2.publisher_creds.certificate;
-  forged2.subject_key = attacker_keys.public_key();
-  sb::Bundle fb2 = forged;
-  std::vector<sm::AdHocManager::BundleToVerify> batch2 = {
-      {&fb2, &forged2}, {&legit2, &rig2.publisher_creds.certificate}};
-  auto ok2 = rig2.adhoc.verify_bundles(batch2);
-  EXPECT_FALSE(ok2[0]);
-  EXPECT_TRUE(ok2[1]);
+    // Reverse order: the legitimate bundle must not be dragged down either.
+    VerifyRig rig2(memo);
+    auto legit2 = rig2.make_bundle(1);
+    sp::Certificate forged2 = rig2.publisher_creds.certificate;
+    forged2.subject_key = attacker_keys.public_key();
+    auto ok2 = rig2.verify_all({{&forged, &forged2}, {&legit2, &rig2.publisher_creds.certificate}});
+    EXPECT_FALSE(ok2[0]);
+    EXPECT_TRUE(ok2[1]);
+    Observed seen;
+    seen.add(rig);
+    seen.add(rig2);
+    return seen;
+  });
+}
+
+// --- hostile checkpoint input -------------------------------------------------
+
+namespace {
+
+using Fingerprint = std::array<std::uint8_t, 32>;
+
+/// An AdHocManager::save_state payload built by hand: verify-cache entries
+/// (one per id, front = most recent) and resumption entries (one per
+/// fingerprint, all under `cert`), no adverts and no hints.
+su::Bytes adhoc_payload(const std::vector<std::uint32_t>& verify_ids,
+                        const std::vector<Fingerprint>& resume_fps, const sp::Certificate& cert) {
+  su::Writer w;
+  sc::Drbg(su::to_bytes("restored-rng")).save_state(w);
+  w.u8(1);      // started
+  w.varint(0);  // advert dictionary
+  w.varint(verify_ids.size());
+  for (std::uint32_t num : verify_ids) {
+    w.raw(cert.subject_id.view());
+    w.u32(num);
+    Fingerprint digest{};
+    digest[0] = static_cast<std::uint8_t>(num);
+    w.raw(su::ByteView(digest.data(), digest.size()));
+  }
+  w.varint(resume_fps.size());
+  for (const Fingerprint& fp : resume_fps) {
+    w.raw(su::ByteView(fp.data(), fp.size()));
+    w.raw(su::ByteView(fp.data(), fp.size()));  // secret
+    w.bytes(cert.encode());
+    w.f64(0.0);
+  }
+  w.varint(0);  // resume hints
+  return w.take();
+}
+
+su::Bytes saved_state(const sm::AdHocManager& adhoc) {
+  su::Writer w;
+  adhoc.save_state(w);
+  return w.take();
+}
+
+/// Loads `payload` into a detached manager holding one cached verdict,
+/// both caches bounded by `capacity`; returns whether it loaded and checks
+/// that a rejected load left the manager untouched.
+bool load_into_populated(const su::Bytes& payload, std::size_t capacity = 256) {
+  VerifyRig rig(nullptr);
+  rig.adhoc.set_verify_cache_capacity(capacity);
+  rig.adhoc.set_resume_cache_capacity(capacity);
+  EXPECT_TRUE(rig.verify(rig.make_bundle(1)));
+  rig.adhoc.detach();
+  const su::Bytes before = saved_state(rig.adhoc);
+  su::Reader r{su::ByteView(payload)};
+  bool ok = rig.adhoc.load_state(r) && r.done();
+  if (!ok) {
+    EXPECT_EQ(saved_state(rig.adhoc), before) << "a rejected load changed the manager";
+  }
+  return ok;
+}
+
+}  // namespace
+
+TEST(AdHocState, LoadRejectsRepeatedVerifyCacheId) {
+  // save_state writes each cached bundle id once. Admitting a repeat used
+  // to leave an LRU node the map no longer owned, so size accounting and
+  // eviction disagreed from then on.
+  const sp::Certificate cert = VerifyRig(nullptr).publisher_creds.certificate;
+  EXPECT_TRUE(load_into_populated(adhoc_payload({7, 8, 9}, {}, cert)));
+  EXPECT_FALSE(load_into_populated(adhoc_payload({7, 8, 7}, {}, cert)));
+}
+
+TEST(AdHocState, LoadRejectsRepeatedResumeFingerprint) {
+  const sp::Certificate cert = VerifyRig(nullptr).publisher_creds.certificate;
+  Fingerprint a{}, b{};
+  a.fill(0xa1);
+  b.fill(0xb2);
+  EXPECT_TRUE(load_into_populated(adhoc_payload({}, {a, b}, cert)));
+  EXPECT_FALSE(load_into_populated(adhoc_payload({}, {a, b, a}, cert)));
+}
+
+TEST(AdHocState, LoadRejectsCacheSectionsOverCapacity) {
+  const sp::Certificate cert = VerifyRig(nullptr).publisher_creds.certificate;
+  Fingerprint a{}, b{}, c{};
+  a.fill(0xa1);
+  b.fill(0xb2);
+  c.fill(0xc3);
+  EXPECT_TRUE(load_into_populated(adhoc_payload({1, 2}, {a, b}, cert), 2));
+  EXPECT_FALSE(load_into_populated(adhoc_payload({1, 2, 3}, {}, cert), 2));
+  EXPECT_FALSE(load_into_populated(adhoc_payload({}, {a, b, c}, cert), 2));
 }
 
 // --- session resumption: wire-level rejection paths ---------------------------

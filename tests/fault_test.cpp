@@ -318,7 +318,7 @@ TEST(FaultSweep, BitwiseIdenticalAcrossJobsAndEngines) {
 // --- adversarial crypto paths ----------------------------------------------
 
 TEST(FaultAdversary, ForgedSignaturesNeverMemoizeTrue) {
-  // The sweep-wide VerifyMemo stores verdicts, not approvals: a forged
+  // The shared VerifyMemo stores verdicts, not approvals: a forged
   // signature memoizes `false`, and a second consult returns that same
   // rejection rather than an acceptance.
   auto kp = sc::Ed25519Keypair::from_seed(sc::EdSeed{1, 2, 3});
@@ -328,22 +328,26 @@ TEST(FaultAdversary, ForgedSignaturesNeverMemoizeTrue) {
   forged[0] ^= 0x5a;
 
   sc::VerifyMemo memo;
-  EXPECT_FALSE(memo.verify(kp.public_key(), msg, forged));
+  auto check = [&](const sc::EdSignature& s) {
+    return sc::memo_verify(&memo, sc::VerifyMemo::key_of(kp.public_key(), msg, s),
+                           kp.public_key(), msg, s);
+  };
+  EXPECT_FALSE(check(forged));
   auto key = sc::VerifyMemo::key_of(kp.public_key(), msg, forged);
   auto verdict = memo.lookup(key);
   ASSERT_TRUE(verdict.has_value());
   EXPECT_FALSE(*verdict);
-  EXPECT_FALSE(memo.verify(kp.public_key(), msg, forged));  // memoized reject
+  EXPECT_FALSE(check(forged));  // memoized reject
   // The honest signature memoizes true independently.
-  EXPECT_TRUE(memo.verify(kp.public_key(), msg, sig));
-  EXPECT_FALSE(memo.verify(kp.public_key(), msg, forged));
+  EXPECT_TRUE(check(sig));
+  EXPECT_FALSE(check(forged));
 }
 
 TEST(FaultAdversary, SigstormRejectionsSurviveSharedMemoReplays) {
   // Replay the signed sigstorm cell twice against one shared memo (the
-  // sweep-wide scope). If a forged verdict ever memoized true, the second
-  // replay would accept junk the first rejected and the metrics would
-  // diverge.
+  // sweep's per-cell scope). If a forged verdict ever memoized true, the
+  // second replay would accept junk the first rejected and the metrics
+  // would diverge.
   auto grid = sd::disaster_pack_grid(1.0);
   auto it = std::find_if(grid.begin(), grid.end(),
                          [](const sd::SweepCell& c) { return c.label == "sigstorm"; });

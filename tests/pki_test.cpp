@@ -185,6 +185,24 @@ TEST(TrustStore, EnforcesValidityWindow) {
   EXPECT_EQ(store.verify(*cert, 1000.0 + su::days(366)), sp::VerifyResult::Expired);
 }
 
+TEST(TrustStore, BadSignatureOutranksExpiryAndRevocation) {
+  // Result precedence is issuer, signature, validity window, CRL: a
+  // tampered certificate reports BadSignature even when it is also expired
+  // and revoked.
+  auto ca = make_ca();
+  auto keys = make_keys("alice");
+  auto cert = ca.issue(
+      sp::CertificateRequest::create(sp::user_id_from_name("alice"), "alice", keys, enc_key_for("alice")), 0);
+  auto tampered = *cert;
+  tampered.subject_key = make_keys("mallory").public_key();
+  sp::TrustStore store(ca.name(), ca.root_public_key());
+  const double expired_at = su::days(366);
+  EXPECT_EQ(store.verify(*cert, expired_at), sp::VerifyResult::Expired);
+  EXPECT_EQ(store.verify(tampered, expired_at), sp::VerifyResult::BadSignature);
+  store.add_revoked(cert->serial);
+  EXPECT_EQ(store.verify(tampered, expired_at), sp::VerifyResult::BadSignature);
+}
+
 TEST(TrustStore, RevocationTakesEffectAfterCrlUpdate) {
   auto ca = make_ca();
   auto keys = make_keys("alice");

@@ -7,6 +7,7 @@
 // encounter-detector tick-grid anchoring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -57,6 +58,34 @@ sd::ScenarioConfig small_config(const std::string& scheme, std::uint64_t seed) {
   c.days = 1.0;
   c.total_posts_target = 50;
   return c;
+}
+
+/// A 15-node, 3-community world over two days. Nodes meet after the first
+/// evening's posts, so sessions open and bundles flow on both sides of the
+/// quiescent cuts, and a mid-run checkpoint holds non-empty verify caches.
+sd::ScenarioConfig traffic_config(const std::string& scheme, std::uint64_t seed) {
+  sd::ScenarioConfig c = sd::gainesville_config(scheme, seed);
+  c.nodes = 15;
+  c.area_w_m = 2000;
+  c.area_h_m = 2000;
+  c.days = 2.0;
+  c.communities = 3;
+  c.bridge_node_frac = 0.2;
+  c.mobility.home_min_separation_m = 150.0;
+  c.total_posts_target = 50;
+  return c;
+}
+
+/// The run opened sessions and carried bundles.
+void expect_traffic(const sd::ScenarioResult& r, const std::string& what) {
+  EXPECT_GT(r.totals.sessions_established, 0u) << what;
+  EXPECT_GT(r.totals.bundles_received, 0u) << what;
+}
+
+/// Some bundle was delivered, and so verified and cached, before `t`.
+bool delivered_before(const sd::ScenarioResult& r, su::SimTime t) {
+  return std::any_of(r.oracle.deliveries().begin(), r.oracle.deliveries().end(),
+                     [t](const sd::DeliveryRecord& d) { return d.at < t; });
 }
 
 struct EngineOpt {
@@ -299,11 +328,12 @@ TEST(SoakResume, CheckpointResumeBitwiseIdenticalOnEveryEngine) {
   windowed.days = 1.5;
   windowed.verify_batch_window_s = 30.0;
   for (const sd::ScenarioConfig& config :
-       {small_config("interest", su::derive_seed(77, 1)), windowed}) {
+       {traffic_config("interest", su::derive_seed(77, 1)), windowed}) {
     auto world = sd::record_world(config);
     ASSERT_GT(world->trace.size(), 0u);
     const sd::ScenarioResult baseline = sd::run_scenario(config, world.get());
     ASSERT_GT(baseline.oracle.post_count(), 0u);
+    expect_traffic(baseline, config.scheme);
     if (config.verify_batch_window_s > 0) {
       EXPECT_GT(baseline.totals.bundle_batch_verifies, 0u);
     }
@@ -320,6 +350,7 @@ TEST(SoakResume, CheckpointResumeBitwiseIdenticalOnEveryEngine) {
       std::vector<su::SimTime> cuts = first.quiescent_cuts(60.0);
       ASSERT_FALSE(cuts.empty()) << what;
       first.advance_to(cuts[cuts.size() / 2]);
+      EXPECT_TRUE(delivered_before(baseline, first.sim_time())) << what;
       sk::Checkpoint ckpt;
       ckpt.segment = 1;
       ckpt.sim_time = first.sim_time();
@@ -341,9 +372,10 @@ TEST(SoakResume, CheckpointResumeBitwiseIdenticalOnEveryEngine) {
 }
 
 TEST(SoakResume, SegmentedAdvanceThroughEveryCutMatchesUninterrupted) {
-  sd::ScenarioConfig config = small_config("epidemic", su::derive_seed(77, 2));
+  sd::ScenarioConfig config = traffic_config("epidemic", su::derive_seed(77, 2));
   auto world = sd::record_world(config);
   const sd::ScenarioResult baseline = sd::run_scenario(config, world.get());
+  expect_traffic(baseline, "segmented");
   for (const EngineOpt& e :
        {EngineOpt{"mono", {}}, EngineOpt{"strand-j4", {.subepisode_jobs = 4}}}) {
     sd::ReplaySession session(config, *world, e.opt);
@@ -358,9 +390,10 @@ TEST(SoakResume, SegmentedAdvanceThroughEveryCutMatchesUninterrupted) {
 TEST(SoakResume, CheckpointCrossesEngines) {
   // Checkpoint under mono, resume under the strand engine, and the reverse:
   // node state is engine-agnostic.
-  sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 3));
+  sd::ScenarioConfig config = traffic_config("interest", su::derive_seed(77, 3));
   auto world = sd::record_world(config);
   const sd::ScenarioResult baseline = sd::run_scenario(config, world.get());
+  expect_traffic(baseline, "crossing");
 
   const EngineOpt mono{"mono", {}};
   const EngineOpt strand{"strand-j4", {.subepisode_jobs = 4}};
@@ -370,6 +403,7 @@ TEST(SoakResume, CheckpointCrossesEngines) {
     std::vector<su::SimTime> cuts = writer.quiescent_cuts(60.0);
     ASSERT_FALSE(cuts.empty()) << what;
     writer.advance_to(cuts[cuts.size() / 2]);
+    EXPECT_TRUE(delivered_before(baseline, writer.sim_time())) << what;
     su::Writer w;
     writer.save_state(w);
     su::Bytes blob = w.take();
@@ -383,12 +417,15 @@ TEST(SoakResume, CheckpointCrossesEngines) {
 }
 
 TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {
-  sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 1));
+  sd::ScenarioConfig config = traffic_config("interest", su::derive_seed(77, 1));
   auto world = sd::record_world(config);
+  const sd::ScenarioResult baseline = sd::run_scenario(config, world.get());
+  expect_traffic(baseline, "malformed");
   sd::ReplaySession donor(config, *world, {});
   std::vector<su::SimTime> cuts = donor.quiescent_cuts(60.0);
   ASSERT_FALSE(cuts.empty());
-  donor.advance_to(cuts.front());
+  donor.advance_to(cuts.back());
+  EXPECT_TRUE(delivered_before(baseline, donor.sim_time()));
   su::Writer w;
   donor.save_state(w);
   su::Bytes blob = w.take();
@@ -401,8 +438,7 @@ TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {
   EXPECT_FALSE(victim.load_state(r));
   EXPECT_EQ(victim.sim_time(), 0.0);
   victim.advance_to(victim.horizon());
-  expect_same_result(sd::run_scenario(config, world.get()), victim.finish(),
-                     "rejected session run from scratch");
+  expect_same_result(baseline, victim.finish(), "rejected session run from scratch");
 }
 
 // --- soak runner ------------------------------------------------------------

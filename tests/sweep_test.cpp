@@ -126,43 +126,39 @@ TEST(Sweep, ReplayOfRecordedWorldIsDeterministic) {
   EXPECT_EQ(a.contacts, world->trace.size());
 }
 
-TEST(Sweep, SweepWideMemoScopeDoesNotChangeMetrics) {
-  // The sweep-wide verify memo (one crypto::VerifyMemo shared by every
-  // variant of a cell, concurrently) is pure-function memoization: per-cell
-  // metrics must be bitwise identical to run-local memos at any thread
-  // count. A multi-community cell with three scheme variants exercises the
+TEST(Sweep, CellMemoMatchesRunLocalReplays) {
+  // The sweep hands every variant of a cell one crypto::VerifyMemo, shared
+  // by concurrently running variants. It is pure-function memoization: each
+  // variant must equal a lone run_scenario call with its own run-local memo.
+  // A multi-community cell with three scheme variants exercises the
   // cross-variant sharing under both cell- and strand-level workers.
-  auto community_cell = [] {
-    sd::SweepCell cell;
-    cell.label = "memo";
-    cell.config = sd::gainesville_config("interest");
-    cell.config.nodes = 15;
-    cell.config.area_w_m = 2000;
-    cell.config.area_h_m = 2000;
-    cell.config.days = 2.0;
-    cell.config.communities = 3;
-    cell.config.bridge_node_frac = 0.2;
-    cell.config.mobility.home_min_separation_m = 150.0;
-    cell.config.total_posts_target = 80.0;
-    cell.variants = {{"interest", "interest", 86400.0, 0.0},
-                     {"epidemic", "epidemic", 86400.0, 0.0},
-                     {"prophet", "prophet", 86400.0, 0.0}};
-    return cell;
-  };
-  sd::SweepOptions local_opts;
-  local_opts.jobs = 1;
-  local_opts.cell_verify_memo = false;
-  auto run_local = sd::SweepRunner(local_opts).run({community_cell()});
-  sd::SweepOptions shared_opts;
-  shared_opts.jobs = 3;
-  shared_opts.subepisode_jobs = 2;
-  shared_opts.cell_verify_memo = true;
-  auto sweep_wide = sd::SweepRunner(shared_opts).run({community_cell()});
-  ASSERT_EQ(run_local.size(), sweep_wide.size());
+  sd::SweepCell cell;
+  cell.label = "memo";
+  cell.config = sd::gainesville_config("interest");
+  cell.config.nodes = 15;
+  cell.config.area_w_m = 2000;
+  cell.config.area_h_m = 2000;
+  cell.config.days = 2.0;
+  cell.config.communities = 3;
+  cell.config.bridge_node_frac = 0.2;
+  cell.config.mobility.home_min_separation_m = 150.0;
+  cell.config.total_posts_target = 80.0;
+  cell.variants = {{"interest", "interest", 86400.0, 0.0},
+                   {"epidemic", "epidemic", 86400.0, 0.0},
+                   {"prophet", "prophet", 86400.0, 0.0}};
+  sd::SweepOptions opts;
+  opts.jobs = 3;
+  opts.subepisode_jobs = 2;
+  sd::SweepRunner runner(opts);
+  auto swept = runner.run({cell});
+  ASSERT_EQ(swept.size(), cell.variants.size());
+
+  auto world = sd::record_world(runner.cell_config(cell, 0));
   std::uint64_t deliveries = 0;
-  for (std::size_t i = 0; i < run_local.size(); ++i) {
-    expect_same_cell(run_local[i], sweep_wide[i]);
-    deliveries += run_local[i].result.oracle.delivery_count();
+  for (std::size_t v = 0; v < cell.variants.size(); ++v) {
+    auto alone = sd::run_scenario(runner.cell_config(cell, 0, v), world.get());
+    expect_same_result(alone, swept[v].result, "cell/variant " + swept[v].label);
+    deliveries += alone.oracle.delivery_count();
   }
   EXPECT_GT(deliveries, 0u);
 }
